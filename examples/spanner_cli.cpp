@@ -193,6 +193,8 @@ int main(int argc, char** argv) {
                           << report.stats.cell_balls << " cell balls / "
                           << report.stats.cell_ball_decisions << " batched decisions, "
                           << report.stats.coarse_rejects << " coarse rejects, "
+                          << report.stats.landmark_rejects << " landmark rejects ("
+                          << report.stats.landmark_refreshes << " refreshes), "
                           << report.stats.dijkstra_runs << " dijkstra runs\n";
             }
             if (args.repeat > 1) {

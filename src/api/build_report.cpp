@@ -15,6 +15,8 @@ void append_greedy_stats(JsonWriter& w, const GreedyStats& stats) {
     w.member("cell_balls", stats.cell_balls);
     w.member("cell_ball_decisions", stats.cell_ball_decisions);
     w.member("coarse_rejects", stats.coarse_rejects);
+    w.member("landmark_refreshes", stats.landmark_refreshes);
+    w.member("landmark_rejects", stats.landmark_rejects);
     w.member("bidirectional_meets", stats.bidirectional_meets);
     w.member("prefilter_rejects", stats.prefilter_rejects);
     w.member("prefilter_gated_off", stats.prefilter_gated_off);

@@ -91,6 +91,13 @@ struct GreedyStats {
     std::size_t sketch_accepts = 0;  ///< stage-3 accepts from epoch-valid sketch
                                      ///< lower bounds
 
+    // Landmark-table counters (zero when bound_sketch is off). Separate
+    // from coarse_rejects, which keeps counting the sketch's own
+    // via-landmark rejects.
+    std::size_t landmark_refreshes = 0;  ///< landmark-tree table rebuilds
+    std::size_t landmark_rejects = 0;    ///< rejects by a landmark-tree upper bound,
+                                         ///< in either stage
+
     /// Peak resident bytes of the stage-2 -> stage-3 handoff (bucket-local
     /// bound array + packed verdict bitsets); the bytes-per-candidate
     /// numerator tracked in BENCH_greedy.json.

@@ -63,6 +63,11 @@ struct ProbeGoalOracle {
 /// ~1.4 the extra drained area buys no further decisions.
 constexpr double kCellRejectRadiusFactor = 1.3;
 
+/// Landmarks of the LandmarkTable: k shortest-path trees, k * n doubles
+/// (1 MiB at n = 8192). Sixteen doubles fill exactly two cache lines per
+/// vertex, so a consult reads four lines for its two rows.
+constexpr std::size_t kLandmarkCount = 16;
+
 /// Queries run directly on the growing Graph (csr_snapshot off). The
 /// adapter still keeps the insertion log phase-B repair iterates (the
 /// live graph is always fresh, so repair works on either adapter).
@@ -139,6 +144,54 @@ struct PrefilterGateState {
             live = false;
             stats.prefilter_gated_off = 1;
         }
+    }
+};
+
+/// Refresh economics of the landmark table, knob-free. A refresh costs
+/// k * (n + 2|E_H|) push-equivalents (every vertex and adjacency entry
+/// once per tree), so it is bought only when the previous bucket spent at
+/// least that much on probes. Every refresh must repay itself: before the
+/// next one is bought, the table in force must have rejected enough
+/// candidates that, at the mean probe work of its lifetime, the probes it
+/// spared cover its cost -- otherwise the rule turns off for the rest of
+/// the run (the table stays sound and keeps being consulted). Push counts
+/// and rejects are pure functions of the input at every parallel worker
+/// count, so refreshes land on the same buckets at every such count.
+struct LandmarkRefreshRule {
+    bool live = false;
+    std::size_t cost = 0;          ///< cost of the table in force (0 = none yet)
+    std::size_t rejects_mark = 0;  ///< landmark_rejects when it was built
+    std::size_t runs_mark = 0;     ///< dijkstra_runs when it was built
+    std::size_t work_mark = 0;     ///< probe work when it was built
+
+    /// Decide at a bucket boundary whether to refresh, given the previous
+    /// bucket's probe work, the cost of a refresh now, the run's counters,
+    /// and the run's cumulative probe work.
+    bool want_refresh(std::size_t bucket_work, std::size_t next_cost,
+                      const GreedyStats& stats, std::size_t work_now) {
+        if (!live || bucket_work < next_cost) return false;
+        if (cost > 0) {
+            const std::size_t runs = stats.dijkstra_runs - runs_mark;
+            const double mean_probe =
+                runs > 0 ? static_cast<double>(work_now - work_mark) /
+                               static_cast<double>(runs)
+                         : 0.0;
+            const double spared =
+                static_cast<double>(stats.landmark_rejects - rejects_mark) * mean_probe;
+            if (spared < static_cast<double>(cost)) {
+                live = false;
+                return false;
+            }
+        }
+        return true;
+    }
+
+    void refreshed(std::size_t refresh_cost, const GreedyStats& stats,
+                   std::size_t work_now) {
+        cost = refresh_cost;
+        rejects_mark = stats.landmark_rejects;
+        runs_mark = stats.dijkstra_runs;
+        work_mark = work_now;
     }
 };
 
@@ -280,6 +333,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     BoundSketch& sketch = res.sketch_;
     // gsp-lint: allow(gsp-epoch-guarded) EngineResources::certs_ member,
     CertificateStore& certs = res.certs_;  // not BoundSketch's tagged field
+    LandmarkTable& landmarks = res.landmarks_;
     std::vector<RepairSeed>& repair_seeds = res.repair_seeds_;
     std::vector<RepairSeed>& repair_seeds_b = res.repair_seeds_b_;
     std::vector<Weight>& bound = res.bound_;
@@ -334,6 +388,17 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     }
     if (parallel) prefilter_stage.begin_run(workers_);
     if (use_sketch) sketch.reset(n_, options_.sketch_ways);
+    // The landmark table rides on the sketch switch, so the naive
+    // reference (sketch off) stays untouched. It is emptied either way: a
+    // warm session's table from an earlier build must never answer for
+    // this one. Probe work is metered as deltas of the workspaces'
+    // cumulative push counters: warm and fresh resources see the same
+    // deltas.
+    landmarks.reset(use_sketch ? n_ : 0, kLandmarkCount);
+    LandmarkRefreshRule landmark_rule;
+    landmark_rule.live = use_sketch;
+    const auto probe_work = [&] { return ws.total_work() + ws_pool.total_work(); };
+    std::size_t bucket_work_mark = probe_work();
     // The speculative accept path needs stage 2 (its phase A) to record
     // certificates; serial runs have nothing to repair.
     const bool repair = parallel && options_.speculative_repair;
@@ -426,6 +491,17 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         // view mirrors every insertion at O(degree) as it happens).
         adapter.snapshot(h);
         if (options_.on_bucket) options_.on_bucket(h, bucket.lo);
+        if (landmark_rule.live) {
+            const std::size_t work_now = probe_work();
+            const std::size_t cost = landmarks.refresh_cost(2 * h.num_edges());
+            if (landmark_rule.want_refresh(work_now - bucket_work_mark, cost, stats,
+                                           work_now)) {
+                landmarks.refresh(adapter.view());
+                ++stats.landmark_refreshes;
+                landmark_rule.refreshed(cost, stats, work_now);
+            }
+            bucket_work_mark = work_now;
+        }
 
         // The thin stage-2 -> stage-3 handoff: one Weight slot and two
         // verdict bits per candidate, all bucket-local. Bounds die with
@@ -488,6 +564,10 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             repair && sharing && accept_predicted && cert_mode_live;
         const bool run_stage2 =
             parallel && !gate.calibrating && (!accept_predicted || certificate_mode);
+        // Stage 2 consults the landmark table for every candidate of the
+        // batch, and the table only changes at bucket boundaries: a
+        // serial consult after it could never reject anything new.
+        const bool serial_landmarks = landmarks.ready() && !run_stage2;
         if (sharing) groups.rebuild(bw, batch, 0, n_, anchored);
         // Group-size-aware bootstrap threshold for the ball-vs-point gate:
         // a stream whose groups never reach ball_share_min_group (grid rep
@@ -524,6 +604,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             ctx.ball_scope = batch_seq;
             ctx.snapshot_epoch = snapshot_epoch;
             ctx.sketch = use_sketch ? &sketch : nullptr;
+            ctx.landmarks = landmarks.ready() ? &landmarks : nullptr;
             ctx.oracle = (have_concurrent_pf && gate.live && !gate.calibrating)
                              ? &options_.concurrent_prefilter
                              : nullptr;
@@ -634,6 +715,20 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     ++stats.coarse_rejects;
                     sketch.record_upper(c.u, c.v, via);
                     sketch.record_upper(c.v, c.u, via);
+                    record_exact();
+                    continue;
+                }
+            }
+            if (serial_landmarks) {
+                // Landmark-tree reject: the two endpoints' distances to a
+                // common landmark concatenate into a witness path, whatever
+                // the sketch remembers -- the reject for long candidates
+                // whose endpoints share no sketch landmark.
+                const Weight lm = landmarks.upper_bound(c.u, c.v);
+                if (lm <= threshold) {
+                    ++stats.landmark_rejects;
+                    sketch.record_upper(c.u, c.v, lm);
+                    sketch.record_upper(c.v, c.u, lm);
                     record_exact();
                     continue;
                 }

@@ -39,7 +39,8 @@
 // bit-identical to the naive kernel at every thread count.
 //
 // The serial kernel's stacked optimisations (bidirectional, ball_sharing,
-// csr_snapshot, bound_sketch -- see core/engine_tuning.hpp) are
+// csr_snapshot, bound_sketch with its landmark table -- see
+// core/engine_tuning.hpp and core/landmark_bounds.hpp) are
 // individually toggleable for the ablation benches and *decision
 // preserving*: every configuration returns the same edge set.
 //
@@ -67,6 +68,7 @@
 #include "core/candidate_stream.hpp"
 #include "core/engine_tuning.hpp"
 #include "core/greedy.hpp"
+#include "core/landmark_bounds.hpp"
 #include "core/prefilter_kernel.hpp"
 #include "core/prefilter_stage.hpp"
 #include "graph/dijkstra.hpp"
@@ -157,6 +159,7 @@ private:
     SourceGroups groups_;              ///< stage-1 per-bucket grouping
     BoundSketch sketch_;               ///< cross-bucket bound persistence
     CertificateStore certs_;           ///< phase-A certificates for phase-B repair
+    LandmarkTable landmarks_;          ///< landmark-tree upper bounds (with the sketch)
     PrefilterKernel prefilter_kernel_; ///< serial-loop group-probe marshalling scratch
     std::vector<RepairSeed> repair_seeds_;    ///< phase-B scratch (forward seeds)
     std::vector<RepairSeed> repair_seeds_b_;  ///< phase-B scratch (backward seeds of the

@@ -46,6 +46,7 @@
 #include "core/bound_sketch.hpp"
 #include "core/candidate_stream.hpp"
 #include "core/greedy.hpp"
+#include "core/landmark_bounds.hpp"
 #include "core/prefilter_kernel.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/types.hpp"
@@ -90,6 +91,11 @@ struct PrefilterContext {
     /// during the fan-out; written only by the serial loop). Null when the
     /// sketch is disabled.
     const BoundSketch* sketch = nullptr;
+    /// Landmark-tree table, consulted right after the sketch's upper-bound
+    /// checks (read-only during the fan-out; refreshed only serially at
+    /// bucket boundaries). Null when the sketch is off or the table has
+    /// not been filled yet this run.
+    const LandmarkTable* landmarks = nullptr;
     /// Optional concurrent reject-only oracle (worker, u, v, threshold);
     /// null when unset or gated off.
     const std::function<bool(std::size_t, VertexId, VertexId, Weight)>* oracle = nullptr;
@@ -204,6 +210,7 @@ private:
         std::size_t cell_balls = 0;
         std::size_t cell_ball_decisions = 0;
         std::size_t coarse_rejects = 0;
+        std::size_t landmark_rejects = 0;
         std::size_t group_probes = 0;
         std::size_t group_probe_decisions = 0;
         std::size_t group_probe_early_exits = 0;
@@ -253,9 +260,10 @@ private:
                    const PrefilterContext& ctx, std::size_t worker, std::uint32_t local,
                    std::vector<Weight>& bounds);
 
-    /// Consult the cross-bucket sketch for one candidate: a persisted
-    /// witness upper bound publishes a permanent reject through the bound
-    /// slot, an epoch-valid lower bound publishes a far-at-snapshot bit.
+    /// Consult the cross-bucket sketch (and the landmark table) for one
+    /// candidate: a persisted witness upper bound publishes a permanent
+    /// reject through the bound slot, an epoch-valid lower bound publishes
+    /// a far-at-snapshot bit.
     /// Returns true when the candidate is decided (no probe needed).
     GSP_DECISION_PURE GSP_HOT_PATH bool sketch_decides(
         const PrefilterContext& ctx, std::uint32_t local,
@@ -277,6 +285,17 @@ private:
             if (via < bounds[local]) bounds[local] = via;
             ++wc.coarse_rejects;
             return true;
+        }
+        // Landmark-tree reject (mirrors the serial loop): the endpoints'
+        // distances to a common landmark, from trees the serial loop built
+        // at the bucket boundary -- read, never written, here.
+        if (ctx.landmarks != nullptr) {
+            const Weight lm = ctx.landmarks->upper_bound(c.u, c.v);
+            if (lm <= threshold) {
+                if (lm < bounds[local]) bounds[local] = lm;
+                ++wc.landmark_rejects;
+                return true;
+            }
         }
         // In certificate mode the epoch-tagged shortcut is a bad trade:
         // the batch is predicted to insert, which will stale the sketch
@@ -349,6 +368,7 @@ GSP_SERIAL_ONLY void PrefilterStage::run_batch(
         stats.cell_balls += wc.cell_balls;
         stats.cell_ball_decisions += wc.cell_ball_decisions;
         stats.coarse_rejects += wc.coarse_rejects;
+        stats.landmark_rejects += wc.landmark_rejects;
         stats.group_probes += wc.group_probes;
         stats.group_probe_decisions += wc.group_probe_decisions;
         stats.group_probe_early_exits += wc.group_probe_early_exits;

@@ -156,6 +156,7 @@ public:
         }
         ++current_;
         settled_.clear();
+        total_work_ += work_;
         work_ = 0;
         early_exit_ = false;
         certified_radius_ = 0.0;
@@ -409,6 +410,9 @@ public:
     /// DijkstraWorkspace::last_work() feeds the engine's cost model.
     [[nodiscard]] std::size_t last_work() const { return work_; }
 
+    /// Queue pushes of every run so far (cumulative; never reset).
+    [[nodiscard]] std::size_t total_work() const { return total_work_ + work_; }
+
     /// Realizable-path upper bound on d(source, x) from the last run's
     /// labels (+infinity if untouched) -- the harvest mirror of
     /// DijkstraWorkspace::last_forward_bound().
@@ -476,6 +480,7 @@ private:
     Weight certified_radius_ = 0.0;
     bool early_exit_ = false;
     std::size_t work_ = 0;
+    std::size_t total_work_ = 0;  ///< pushes of finished runs
     std::size_t peak_hint_ = 0;  ///< settled-count high-water mark (queue sizing)
 };
 

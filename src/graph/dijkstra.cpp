@@ -28,6 +28,7 @@ void DijkstraWorkspace::begin_query() {
     heap_b_.clear();
     ball_.clear();
     ball_b_.clear();
+    total_work_ += last_work_;
     last_work_ = 0;
     // Pre-size to the historical peak so tight query loops never pay
     // reallocation churn mid-search (clear() keeps capacity, so this only
@@ -85,6 +86,12 @@ void DijkstraWorkspacePool::configure(std::size_t workers, std::size_t n) {
 std::size_t DijkstraWorkspacePool::total_meet_events() const {
     std::size_t total = 0;
     for (const auto& ws : pool_) total += ws->meet_events();
+    return total;
+}
+
+std::size_t DijkstraWorkspacePool::total_work() const {
+    std::size_t total = 0;
+    for (const auto& ws : pool_) total += ws->total_work();
     return total;
 }
 

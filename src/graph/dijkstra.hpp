@@ -199,6 +199,13 @@ public:
     /// the labeled set and the relaxation churn of dense regions).
     [[nodiscard]] std::size_t last_work() const { return last_work_; }
 
+    /// Heap pushes of every query on this workspace so far, the group
+    /// probe's included -- the cumulative probe-work meter the engine's
+    /// landmark refresh rule reads (deltas only; never reset).
+    [[nodiscard]] std::size_t total_work() const {
+        return total_work_ + last_work_ + batched_.total_work();
+    }
+
 private:
     // The single reset path of every query entry point. Each query kind
     // used to clear its own subset of the scratch (ball_ here, heap_b_
@@ -243,6 +250,7 @@ private:
     std::size_t peak_hint_ = 0;  ///< max heap occupancy seen; reserve() hint
     std::size_t meets_ = 0;
     std::size_t last_work_ = 0;
+    std::size_t total_work_ = 0;  ///< pushes of finished queries (see total_work)
     std::vector<std::pair<VertexId, Weight>> ball_;
     std::vector<std::pair<VertexId, Weight>> ball_b_;  ///< backward frontier
     Weight fwd_settled_radius_ = 0.0;
@@ -266,6 +274,9 @@ public:
 
     /// Sum of meet_events() over all workspaces (stats aggregation).
     [[nodiscard]] std::size_t total_meet_events() const;
+
+    /// Sum of total_work() over all workspaces.
+    [[nodiscard]] std::size_t total_work() const;
 
     /// Workspaces constructed over this pool's lifetime. configure() only
     /// ever grows the pool, so on a warm pool (a SpannerSession reused

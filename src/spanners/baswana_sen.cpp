@@ -19,6 +19,11 @@ struct ActiveEdge {
     Weight weight;
 };
 
+/// Key of the adjacency entry `to` in the list of `from`.
+std::uint64_t directed_key(VertexId from, VertexId to) {
+    return (static_cast<std::uint64_t>(from) << 32) | to;
+}
+
 }  // namespace
 
 Graph baswana_sen_spanner(const Graph& g, unsigned k, std::uint64_t seed) {
@@ -138,6 +143,22 @@ Graph baswana_sen_spanner(const Graph& g, unsigned k, std::uint64_t seed) {
             }
             std::erase_if(adj[v], [&](const ActiveEdge& e) {
                 return cluster[e.to] == kNoVertex || cluster[e.to] == cluster[v];
+            });
+        }
+
+        // 4. Drop one-sided entries. A joining vertex removed its edges
+        // into dropped clusters from its own list only; the mirror entry
+        // on the other endpoint must go too. Otherwise the next round (or
+        // phase 2) can pick an edge whose stretch is already accounted
+        // for in place of one that still needs a spanner path, and the
+        // 2k - 1 bound breaks.
+        std::unordered_set<std::uint64_t> present;
+        for (VertexId v = 0; v < n; ++v) {
+            for (const ActiveEdge& e : adj[v]) present.insert(directed_key(v, e.to));
+        }
+        for (VertexId v = 0; v < n; ++v) {
+            std::erase_if(adj[v], [&](const ActiveEdge& e) {
+                return !present.contains(directed_key(e.to, v));
             });
         }
     }

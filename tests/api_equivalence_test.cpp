@@ -59,6 +59,8 @@ void expect_stats_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.cert_ball_aborts, b.cert_ball_aborts) << label;
     EXPECT_EQ(a.sketch_hits, b.sketch_hits) << label;
     EXPECT_EQ(a.sketch_accepts, b.sketch_accepts) << label;
+    EXPECT_EQ(a.landmark_refreshes, b.landmark_refreshes) << label;
+    EXPECT_EQ(a.landmark_rejects, b.landmark_rejects) << label;
     EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes) << label;
 }
 

@@ -6,6 +6,7 @@
 
 #include "analysis/audit.hpp"
 #include "gen/graphs.hpp"
+#include "graph/dijkstra.hpp"
 #include "graph/traversal.hpp"
 #include "util/random.hpp"
 
@@ -79,6 +80,26 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, BaswanaSenStretchTest,
                          ::testing::Combine(::testing::Values(1u, 2u, 3u),
                                             ::testing::Values(2u, 3u, 4u),
                                             ::testing::Values(0.15, 0.5)));
+
+// Regression: a vertex joining a sampled cluster used to drop its edges
+// into the dropped clusters from its own adjacency list only, and phase 2
+// then picked the surviving one-sided mirror entries, leaving other edges
+// without a 3-hop spanner path (stretch up to 3.1 on seeds 39 and 59
+// below). Each input edge is checked exactly with a query bounded at 3w.
+TEST(BaswanaSenTest, StretchAtMostThreeOnSeededSparseGraphs) {
+    DijkstraWorkspace ws;
+    for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+        Rng rng(seed);
+        const Graph g = random_graph_nm(512, 4096, {.lo = 1.0, .hi = 2.0}, rng);
+        const Graph h = baswana_sen_spanner(g, 2, seed * 8 + 4);
+        std::size_t violations = 0;
+        for (const Edge& e : g.edges()) {
+            const Weight limit = 3.0 * e.weight;
+            if (ws.distance(h, e.u, e.v, limit) > limit) ++violations;
+        }
+        EXPECT_EQ(violations, 0u) << "seed=" << seed;
+    }
+}
 
 TEST(BaswanaSenTest, SizeScalesSubquadratically) {
     // Expected size O(k n^{1+1/k}); on a dense graph the spanner must be

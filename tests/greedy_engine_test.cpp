@@ -91,6 +91,9 @@ TEST_P(EngineEquivalenceTest, EveryConfigurationMatchesTheNaiveKernel) {
             if ((mask & 8u) == 0) {
                 EXPECT_EQ(stats.sketch_hits, 0u) << mask_name(mask);
                 EXPECT_EQ(stats.sketch_accepts, 0u) << mask_name(mask);
+                // The landmark table rides on the sketch switch.
+                EXPECT_EQ(stats.landmark_refreshes, 0u) << mask_name(mask);
+                EXPECT_EQ(stats.landmark_rejects, 0u) << mask_name(mask);
             }
         }
     }
@@ -245,6 +248,8 @@ TEST(ParallelEngineTest, StatsAreScheduleIndependent) {
     EXPECT_EQ(a.snapshot_accepts, b.snapshot_accepts);
     EXPECT_EQ(a.sketch_hits, b.sketch_hits);
     EXPECT_EQ(a.sketch_accepts, b.sketch_accepts);
+    EXPECT_EQ(a.landmark_refreshes, b.landmark_refreshes);
+    EXPECT_EQ(a.landmark_rejects, b.landmark_rejects);
     EXPECT_EQ(a.csr_rebuilds, b.csr_rebuilds);
     EXPECT_EQ(a.csr_compactions, b.csr_compactions);
     EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes);
