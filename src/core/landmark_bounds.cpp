@@ -23,7 +23,6 @@ GSP_SERIAL_ONLY void LandmarkTable::refresh(const View& view) {
     // Sized here, not in reset(): a run whose rule never fires (one weight
     // bucket, say) pays no table memory at all.
     dist_.assign(n_ * k_, kInfiniteWeight);
-    sssp_.resize(n_);
     nearest_.assign(n_, kInfiniteWeight);
     landmarks_.clear();
     const std::size_t count = std::min(k_, n_);
@@ -37,24 +36,11 @@ GSP_SERIAL_ONLY void LandmarkTable::refresh(const View& view) {
         }
         landmarks_.push_back(pick);
 
-        std::fill(sssp_.begin(), sssp_.end(), kInfiniteWeight);
-        sssp_[pick] = 0.0;
-        heap_.clear();
-        heap_.push({0.0, pick});
-        while (!heap_.empty()) {
-            const QueueItem top = heap_.pop_min();
-            if (top.dist > sssp_[top.vertex]) continue;  // stale entry
-            for (const HalfEdge& h : view.neighbors(top.vertex)) {
-                const Weight nd = top.dist + h.weight;
-                if (nd < sssp_[h.to]) {
-                    sssp_[h.to] = nd;
-                    heap_.push({nd, h.to});
-                }
-            }
-        }
-        for (std::size_t x = 0; x < n_; ++x) {
-            dist_[x * k_ + i] = sssp_[x];
-            nearest_[x] = std::min(nearest_[x], sssp_[x]);
+        // One full tree: with an infinite limit the ball is every vertex
+        // reachable from the landmark, each with its exact distance.
+        for (const auto& [x, d] : sssp_.ball(view, pick, kInfiniteWeight)) {
+            dist_[static_cast<std::size_t>(x) * k_ + i] = d;
+            nearest_[x] = std::min(nearest_[x], d);
         }
     }
     ready_ = count > 0;

@@ -40,10 +40,10 @@
 #include <span>
 #include <vector>
 
+#include "graph/dijkstra.hpp"
 #include "graph/types.hpp"
 #include "simd/aligned.hpp"
 #include "util/annotations.hpp"
-#include "util/dary_heap.hpp"
 
 namespace gsp {
 
@@ -98,24 +98,17 @@ public:
     }
 
 private:
-    struct QueueItem {
-        Weight dist;
-        VertexId vertex;
-        friend bool operator>(const QueueItem& a, const QueueItem& b) {
-            return a.dist > b.dist;
-        }
-    };
-
     std::size_t n_ = 0;
     std::size_t k_ = 0;
     bool ready_ = false;
     /// n * k distances, row v = the k landmark distances of vertex v.
     simd::AlignedVector<Weight> dist_;
     std::vector<VertexId> landmarks_;
-    // Refresh scratch, kept warm across refreshes and runs.
-    std::vector<Weight> sssp_;     ///< one tree's distances, vertex-indexed
+    // Refresh scratch, kept warm across refreshes and runs. The workspace
+    // is the table's own, so refresh pushes stay out of the engine's
+    // probe-work meter.
+    DijkstraWorkspace sssp_;
     std::vector<Weight> nearest_;  ///< distance to the nearest chosen landmark
-    DaryHeap<QueueItem, 4> heap_;
 };
 
 }  // namespace gsp
