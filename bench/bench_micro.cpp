@@ -360,31 +360,6 @@ void queue_ablation_section() {
               << "\n\n";
 }
 
-/// The v8 SIMD kernel ablation: each vector kernel (and the radix chunk
-/// sort) against its scalar arm on identical inputs, outputs asserted
-/// identical before any timing is quoted. Printed as a table here and
-/// recorded as the "simd_probe" object of BENCH_greedy.json, where the
-/// validator enforces the 1.3x floor on at least two kernels whenever
-/// dispatch selected a vector backend.
-benchutil::SimdProbeResult simd_ablation_section() {
-    const auto probe = benchutil::run_simd_probe();
-    std::cout << "== SIMD kernel ablation: scalar vs dispatched (" << probe.backend
-              << ") ==\n";
-    gsp::Table table({"kernel", "scalar (s)", "simd (s)", "speedup", "outputs"});
-    const auto row = [&](const char* name, const benchutil::SimdKernelAblation& a) {
-        table.add_row({name, gsp::fmt(a.scalar_seconds, 4), gsp::fmt(a.simd_seconds, 4),
-                       gsp::fmt_ratio(a.speedup),
-                       a.outputs_identical ? "identical" : "MISMATCHED"});
-    };
-    row("far_sweep", probe.far_sweep);
-    row("distance_batch", probe.distance_batch);
-    row("sketch_probe", probe.sketch_probe);
-    row("radix_sort (vs stable_sort)", probe.radix_sort);
-    table.print(std::cout);
-    std::cout << "\n";
-    return probe;
-}
-
 /// Quick kernel sweep + session-reuse probe + the reduced linear-space
 /// memory probe + BENCH_greedy.json, sized for a CI smoke run. Including
 /// the session probe here means every PR's smoke job counter-verifies the
@@ -406,12 +381,10 @@ void write_smoke_json() {
     // (PR-7 per-candidate) baseline measured in the same process.
     const auto group_probe = benchutil::run_group_probe(
         benchutil::group_probe_n(512), 1.5, 1024, 2.0);
-    const auto simd_probe = simd_ablation_section();
     const std::string path = benchutil::bench_json_path();
     benchutil::write_bench_greedy_json(path, "bench_micro", "random_nm", n,
                                        g.num_edges(), t, runs, mem_probe, time_probe,
-                                       group_probe, &session_probe, nullptr, nullptr,
-                                       &simd_probe);
+                                       group_probe, &session_probe);
     bool all_match = true;
     for (const auto& r : runs) all_match = all_match && r.matches_naive;
     std::size_t mem_high_kb = 0;
@@ -433,17 +406,6 @@ void write_smoke_json() {
               << group_probe.metric.speedup << "x / graph "
               << group_probe.graph.speedup << "x, edge sets "
               << (group_probe.metric.matches_off && group_probe.graph.matches_off
-                      ? "identical"
-                      : "MISMATCHED")
-              << "; simd probe " << simd_probe.backend << " far-sweep "
-              << simd_probe.far_sweep.speedup << "x / dist "
-              << simd_probe.distance_batch.speedup << "x / sketch "
-              << simd_probe.sketch_probe.speedup << "x / radix "
-              << simd_probe.radix_sort.speedup << "x, outputs "
-              << (simd_probe.far_sweep.outputs_identical &&
-                          simd_probe.distance_batch.outputs_identical &&
-                          simd_probe.sketch_probe.outputs_identical &&
-                          simd_probe.radix_sort.outputs_identical
                       ? "identical"
                       : "MISMATCHED")
               << ")\n";

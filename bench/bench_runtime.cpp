@@ -281,31 +281,11 @@ void graph_kernel_section() {
     }
     gtable.print(std::cout);
 
-    // The v8 SIMD kernel ablation: scalar vs dispatch-selected vector
-    // table on identical inputs, outputs asserted identical before any
-    // timing is recorded (the radix row times the LSD sorter against
-    // std::stable_sort).
-    const auto simd_probe = benchutil::run_simd_probe();
-    std::cout << "\n== SIMD kernel ablation: scalar vs dispatched ("
-              << simd_probe.backend << ") ==\n";
-    Table simdtable({"kernel", "scalar (s)", "simd (s)", "speedup", "outputs"});
-    const auto simd_row = [&](const char* name,
-                              const benchutil::SimdKernelAblation& a) {
-        simdtable.add_row({name, fmt(a.scalar_seconds, 4), fmt(a.simd_seconds, 4),
-                           fmt_ratio(a.speedup),
-                           a.outputs_identical ? "identical" : "MISMATCHED"});
-    };
-    simd_row("far_sweep", simd_probe.far_sweep);
-    simd_row("distance_batch", simd_probe.distance_batch);
-    simd_row("sketch_probe", simd_probe.sketch_probe);
-    simd_row("radix_sort (vs stable_sort)", simd_probe.radix_sort);
-    simdtable.print(std::cout);
-
     const std::string path = benchutil::bench_json_path();
     benchutil::write_bench_greedy_json(path, "bench_runtime", "random_nm", n,
                                        g.num_edges(), t, runs, mem_probe, time_probe,
                                        group_probe, &session_probe, &probe,
-                                       &accept_probe, &simd_probe);
+                                       &accept_probe);
     std::cout << "wrote " << path << "\n\n";
 
     // Parallel-stage scaling probe at t = 3: the reject-heavy regime

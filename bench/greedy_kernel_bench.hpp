@@ -3,7 +3,7 @@
 //
 // Both bench_runtime (full-size sweep, the perf-trajectory source of truth)
 // and bench_micro (CI smoke that validates the schema) emit the same JSON
-// shape, version-tagged "gsp.bench_greedy.v8", built on the library's
+// shape, version-tagged "gsp.bench_greedy.v9", built on the library's
 // shared JsonWriter + append_greedy_stats serializer (src/api/build_report)
 // instead of hand-rolled streams:
 //
@@ -24,7 +24,6 @@
 //     "mem_probe": {...},           // the linear-space probe (v5, required)
 //     "time_probe": {...},          // the cell-batched probe (v6, required)
 //     "group_probe": {...},         // the group-probe ablation (v7, required)
-//     "simd_probe": {...},          // the SIMD kernel ablation (v8, required)
 //     "peak_rss_kb": <ru_maxrss>,
 //     "speedup_full_vs_naive": <naive seconds / full seconds>
 //   }
@@ -61,16 +60,10 @@
 // sets plus the 1.05x us/candidate regression floor of the metric arm on the reduced
 // CI shape.
 //
-// v8 (SIMD prefilter backend) adds the required "simd_probe" object: the
-// four vector kernels (the far-sweep bound scan, the batched 2D distance
-// evaluation, the sketch way-probe match, and the LSD radix chunk sort vs
-// std::stable_sort) each timed scalar-vs-dispatched on a fixed synthetic
-// workload, with outputs asserted identical before any timing is
-// reported. The dispatch-selected backend name rides along, and the
-// "time_probe" / "group_probe" objects now record the backend their
-// builds executed ("simd_backend") -- the validator refuses history
-// comparisons of rows whose backends differ, so a machine change can
-// never masquerade as a kernel regression.
+// v8 added a "simd_probe" object timing the runtime-dispatched vector
+// kernels against their scalar references, plus a "simd_backend" field on
+// the time and group probes. v9 drops all three: the engine's loops are
+// plain scalar code again, so there is no backend to ablate or record.
 //
 // The output path defaults to BENCH_greedy.json in the working directory;
 // override with the GSP_BENCH_JSON environment variable.
@@ -79,14 +72,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "api/build_report.hpp"
@@ -98,8 +88,6 @@
 #include "gen/points.hpp"
 #include "graph/graph.hpp"
 #include "metric/euclidean.hpp"
-#include "simd/radix_sort.hpp"
-#include "simd/simd.hpp"
 #include "util/json.hpp"
 #include "util/random.hpp"
 #include "util/rss.hpp"
@@ -562,7 +550,6 @@ struct TimeProbeResult {
     std::size_t coarse_rejects = 0;
     double cell_ball_share = 0.0;  ///< cell_ball_decisions / candidates
     std::size_t dijkstra_runs = 0;
-    std::string simd_backend;  ///< dispatch-resolved backend of this build (v8)
 };
 
 /// Probe size: `fallback` unless GSP_TIME_PROBE_N overrides it (CI's
@@ -619,7 +606,6 @@ inline TimeProbeResult run_time_probe(std::size_t n, double t = 2.0,
                   static_cast<double>(probe.candidates)
             : 0.0;
     probe.dijkstra_runs = report.stats.dijkstra_runs;
-    probe.simd_backend = report.simd_backend;
     return probe;
 }
 
@@ -648,7 +634,6 @@ struct GroupProbeArm {
     double early_exit_share = 0.0;  ///< probes stopped before draining
     std::size_t rss_before_kb = 0;
     std::size_t rss_after_kb = 0;
-    std::string simd_backend;  ///< dispatch-resolved backend of both runs (v8)
 };
 
 struct GroupProbeResult {
@@ -705,7 +690,6 @@ inline GroupProbeArm run_group_probe_arm(CandidateSource& source, const char* ki
         }
     }
     arm.matches_off = same_edge_set(on, off);
-    arm.simd_backend = on_report.simd_backend;
 
     const double cands =
         static_cast<double>(arm.candidates == 0 ? 1 : arm.candidates);
@@ -765,214 +749,6 @@ inline GroupProbeResult run_group_probe(std::size_t metric_n, double metric_t,
     return probe;
 }
 
-/// One row of the v8 SIMD kernel ablation: the same workload through the
-/// scalar reference table and through the dispatch-selected vector table
-/// (or, for the radix row, std::stable_sort vs the LSD radix sorter).
-/// outputs_identical is checked *before* any timing is recorded -- a row
-/// whose arms disagree reports false and the validator hard-fails, so a
-/// speedup can never be quoted for a kernel that changed answers.
-struct SimdKernelAblation {
-    double scalar_seconds = 0.0;
-    double simd_seconds = 0.0;
-    double speedup = 0.0;  ///< scalar_seconds / simd_seconds
-    bool outputs_identical = false;
-};
-
-struct SimdProbeResult {
-    std::string backend;  ///< dispatch-selected vector table ("scalar" = no-op ablation)
-    SimdKernelAblation far_sweep;       ///< sorted-radii bound sweep
-    SimdKernelAblation distance_batch;  ///< batched 2D Euclidean distances
-    SimdKernelAblation sketch_probe;    ///< gathered way-probe matching
-    SimdKernelAblation radix_sort;      ///< LSD radix vs std::stable_sort
-};
-
-namespace detail {
-
-/// Keeps timed-loop results observable without pulling in a benchmark
-/// library dependency (the header is shared by bench_micro and
-/// bench_runtime, only the former links google-benchmark).
-inline void simd_probe_sink(std::uint64_t v) {
-    [[maybe_unused]] static volatile std::uint64_t s = 0;
-    s = v;
-}
-
-template <typename F>
-double simd_probe_min_seconds(int reps, F&& f) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < reps; ++r) {
-        Timer timer;
-        f();
-        best = std::min(best, timer.seconds());
-    }
-    return best;
-}
-
-}  // namespace detail
-
-/// The v8 kernel ablation: fixed synthetic workloads sized like the
-/// shapes the engine actually feeds each kernel (bucket-scale sorted
-/// sweeps, chunk-scale distance batches, 32-lane sketch blocks,
-/// chunk-scale candidate sorts). Every row first proves its two arms
-/// produce identical bytes, then reports min-of-reps wall clock for
-/// each arm. On a machine whose dispatch resolves to scalar the vector
-/// rows degenerate to speedup 1.0x by construction -- the validator
-/// only enforces speedup floors when backend != "scalar".
-inline SimdProbeResult run_simd_probe() {
-    SimdProbeResult probe;
-    const simd::Kernels& vec = simd::auto_kernels();
-    const simd::Kernels& sca = simd::scalar_kernels();
-    probe.backend = simd::backend_label(vec);
-    constexpr int kReps = 5;
-    Rng rng(20260808);
-
-    {  // far sweep: one sorted key array, many probe radii from index 0.
-        constexpr std::size_t kKeys = 1u << 15;
-        constexpr std::size_t kProbes = 2048;
-        std::vector<double> keys(kKeys);
-        double acc = 0.0;
-        for (double& k : keys) {
-            // Duplicate-heavy ascending keys: ties exercise the strict
-            // `< d` boundary the verdict classification depends on.
-            acc += static_cast<double>(rng.index(3));
-            k = acc;
-        }
-        std::vector<double> probes(kProbes);
-        for (double& d : probes) d = rng.uniform(0.0, acc * 1.05);
-        std::vector<std::size_t> out_s(kProbes);
-        std::vector<std::size_t> out_v(kProbes);
-        for (std::size_t i = 0; i < kProbes; ++i) {
-            out_s[i] = sca.sweep_lower_bound(keys.data(), 0, kKeys, probes[i]);
-            out_v[i] = vec.sweep_lower_bound(keys.data(), 0, kKeys, probes[i]);
-        }
-        probe.far_sweep.outputs_identical = out_s == out_v;
-        const auto arm = [&](const simd::Kernels& k) {
-            std::uint64_t sum = 0;
-            for (std::size_t i = 0; i < kProbes; ++i) {
-                sum += k.sweep_lower_bound(keys.data(), 0, kKeys, probes[i]);
-            }
-            detail::simd_probe_sink(sum);
-        };
-        probe.far_sweep.scalar_seconds =
-            detail::simd_probe_min_seconds(kReps, [&] { arm(sca); });
-        probe.far_sweep.simd_seconds =
-            detail::simd_probe_min_seconds(kReps, [&] { arm(vec); });
-    }
-
-    {  // distance batch: chunk-scale coordinate arrays, one pass per rep.
-        constexpr std::size_t kN = 1u << 16;
-        constexpr int kInner = 16;
-        std::vector<double> ax(kN), ay(kN), bx(kN), by(kN);
-        for (std::size_t i = 0; i < kN; ++i) {
-            ax[i] = rng.uniform(0.0, 1e4);
-            ay[i] = rng.uniform(0.0, 1e4);
-            bx[i] = rng.uniform(0.0, 1e4);
-            by[i] = rng.uniform(0.0, 1e4);
-        }
-        std::vector<double> out_s(kN), out_v(kN);
-        sca.distances2d(ax.data(), ay.data(), bx.data(), by.data(), kN, out_s.data());
-        vec.distances2d(ax.data(), ay.data(), bx.data(), by.data(), kN, out_v.data());
-        probe.distance_batch.outputs_identical =
-            std::memcmp(out_s.data(), out_v.data(), kN * sizeof(double)) == 0;
-        const auto arm = [&](const simd::Kernels& k, std::vector<double>& out) {
-            for (int j = 0; j < kInner; ++j) {
-                k.distances2d(ax.data(), ay.data(), bx.data(), by.data(), kN,
-                              out.data());
-            }
-            detail::simd_probe_sink(static_cast<std::uint64_t>(out[kN - 1]));
-        };
-        probe.distance_batch.scalar_seconds =
-            detail::simd_probe_min_seconds(kReps, [&] { arm(sca, out_s); });
-        probe.distance_batch.simd_seconds =
-            detail::simd_probe_min_seconds(kReps, [&] { arm(vec, out_v); });
-    }
-
-    {  // sketch probe: 32-lane way blocks, the sketch's match shape.
-        constexpr std::size_t kLanes = 32;
-        constexpr std::size_t kBlocks = 8192;
-        constexpr int kInner = 16;
-        constexpr std::uint32_t kSkip = 0xffffffffu;
-        std::vector<std::uint32_t> a(kLanes * kBlocks), b(kLanes * kBlocks);
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            // Small value range: frequent matches, occasional skip lanes.
-            a[i] = rng.index(4) == 0 ? kSkip : static_cast<std::uint32_t>(rng.index(7));
-            b[i] = static_cast<std::uint32_t>(rng.index(7));
-        }
-        std::vector<std::uint32_t> out_s(kBlocks), out_v(kBlocks);
-        for (std::size_t blk = 0; blk < kBlocks; ++blk) {
-            out_s[blk] = sca.match_pairs(a.data() + blk * kLanes,
-                                         b.data() + blk * kLanes, kLanes, kSkip);
-            out_v[blk] = vec.match_pairs(a.data() + blk * kLanes,
-                                         b.data() + blk * kLanes, kLanes, kSkip);
-        }
-        probe.sketch_probe.outputs_identical = out_s == out_v;
-        const auto arm = [&](const simd::Kernels& k) {
-            std::uint64_t sum = 0;
-            for (int j = 0; j < kInner; ++j) {
-                for (std::size_t blk = 0; blk < kBlocks; ++blk) {
-                    sum += k.match_pairs(a.data() + blk * kLanes,
-                                         b.data() + blk * kLanes, kLanes, kSkip);
-                }
-            }
-            detail::simd_probe_sink(sum);
-        };
-        probe.sketch_probe.scalar_seconds =
-            detail::simd_probe_min_seconds(kReps, [&] { arm(sca); });
-        probe.sketch_probe.simd_seconds =
-            detail::simd_probe_min_seconds(kReps, [&] { arm(vec); });
-    }
-
-    {  // radix sort: chunk-scale candidates, tie-heavy quantized weights.
-        constexpr std::size_t kN = 1u << 18;
-        std::vector<GreedyCandidate> input(kN);
-        for (GreedyCandidate& c : input) {
-            c.u = static_cast<VertexId>(rng.index(kN));
-            c.v = static_cast<VertexId>(rng.index(kN));
-            // Quantized weights: long equal-key plateaus, the stability-
-            // sensitive shape (and the one grid streams actually emit).
-            c.weight = static_cast<double>(rng.index(4096)) * 0.25;
-        }
-        const auto cmp = [](const GreedyCandidate& a, const GreedyCandidate& b) {
-            return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
-        };
-        std::vector<GreedyCandidate> ref = input;
-        std::stable_sort(ref.begin(), ref.end(), cmp);
-        simd::CandidateRadixSorter sorter;
-        std::vector<GreedyCandidate> got = input;
-        sorter.sort(got);
-        probe.radix_sort.outputs_identical =
-            std::memcmp(ref.data(), got.data(), kN * sizeof(GreedyCandidate)) == 0;
-        // Timed by hand rather than via simd_probe_min_seconds: each rep
-        // re-copies the pristine input, and that copy must stay outside
-        // the timed region of both arms.
-        probe.radix_sort.scalar_seconds = std::numeric_limits<double>::infinity();
-        probe.radix_sort.simd_seconds = std::numeric_limits<double>::infinity();
-        std::vector<GreedyCandidate> work;
-        for (int r = 0; r < kReps; ++r) {
-            work = input;
-            Timer sort_timer;
-            std::stable_sort(work.begin(), work.end(), cmp);
-            probe.radix_sort.scalar_seconds =
-                std::min(probe.radix_sort.scalar_seconds, sort_timer.seconds());
-            detail::simd_probe_sink(work.back().u);
-            work = input;
-            Timer radix_timer;
-            sorter.sort(work);
-            probe.radix_sort.simd_seconds =
-                std::min(probe.radix_sort.simd_seconds, radix_timer.seconds());
-            detail::simd_probe_sink(work.back().u);
-        }
-    }
-
-    const auto finish = [](SimdKernelAblation& a) {
-        a.speedup = a.simd_seconds > 0.0 ? a.scalar_seconds / a.simd_seconds : 0.0;
-    };
-    finish(probe.far_sweep);
-    finish(probe.distance_batch);
-    finish(probe.sketch_probe);
-    finish(probe.radix_sort);
-    return probe;
-}
-
 /// Process peak RSS in KiB (0 where unsupported). Kept as the top-level
 /// JSON field's reader; per-row attribution uses before/after samples of
 /// the same counter (util/rss.hpp).
@@ -992,11 +768,10 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
                                     const GroupProbeResult& group_probe,
                                     const SessionProbeResult* session_probe = nullptr,
                                     const MetricProbeResult* metric_probe = nullptr,
-                                    const AcceptProbeResult* accept_probe = nullptr,
-                                    const SimdProbeResult* simd_probe = nullptr) {
+                                    const AcceptProbeResult* accept_probe = nullptr) {
     JsonWriter w;
     w.begin_object();
-    w.member("schema", "gsp.bench_greedy.v8");
+    w.member("schema", "gsp.bench_greedy.v9");
     w.member("source", source);
     w.member("stretch", t);
     w.key("instance").begin_object();
@@ -1142,7 +917,6 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("coarse_rejects", p.coarse_rejects);
         w.member("cell_ball_share", p.cell_ball_share);
         w.member("dijkstra_runs", p.dijkstra_runs);
-        w.member("simd_backend", p.simd_backend);
         w.end_object();
     }
 
@@ -1166,31 +940,11 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
             w.member("mean_group_size", a.mean_group_size);
             w.member("early_exit_share", a.early_exit_share);
             w.member("rss_delta_kb", a.rss_after_kb - a.rss_before_kb);
-            w.member("simd_backend", a.simd_backend);
             w.end_object();
         };
         w.key("group_probe").begin_object();
         write_arm("metric", group_probe.metric);
         write_arm("graph", group_probe.graph);
-        w.end_object();
-    }
-
-    if (simd_probe != nullptr) {
-        const SimdProbeResult& p = *simd_probe;
-        const auto write_kernel = [&w](const char* key, const SimdKernelAblation& a) {
-            w.key(key).begin_object();
-            w.member("scalar_seconds", a.scalar_seconds);
-            w.member("simd_seconds", a.simd_seconds);
-            w.member("speedup", a.speedup);
-            w.member("outputs_identical", a.outputs_identical);
-            w.end_object();
-        };
-        w.key("simd_probe").begin_object();
-        w.member("backend", p.backend);
-        write_kernel("far_sweep", p.far_sweep);
-        write_kernel("distance_batch", p.distance_batch);
-        write_kernel("sketch_probe", p.sketch_probe);
-        write_kernel("radix_sort", p.radix_sort);
         w.end_object();
     }
 

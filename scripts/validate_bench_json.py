@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v8)
+"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v9)
 and diff them against the tracked bench history.
 
 Usage:
@@ -72,8 +72,12 @@ vector backend at least two of the four rows must beat the 1.3x floor.
 History diffs of the time/group probes are backend-honest: when the two
 entries ran on different dispatch-selected backends their timings are
 not comparable, so the diff is refused (skipped with a notice) rather
-than flagged as a regression or an improvement. Older entries are still
-accepted and diffed on the fields they carry.
+than flagged as a regression or an improvement. Schema v9 (the SIMD
+dispatch layer deleted) drops the simd_probe object and the simd_backend
+fields again: the engine's loops are plain scalar code, so v9 documents
+need neither, and the 1.3x floor -- which gated only the deleted vector
+kernels -- no longer applies. Older entries are still accepted and
+diffed on the fields they carry.
 
 Exits non-zero if a file is missing, malformed, or violates the schema --
 including the engine's core contract that every configuration matched the
@@ -84,7 +88,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 9)}
+SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 10)}
 REQUIRED_TOP = {"schema", "source", "stretch", "instance", "configs",
                 "speedup_full_vs_naive"}
 REQUIRED_CONFIG = {"name", "bidirectional", "ball_sharing", "csr_snapshot",
@@ -212,6 +216,8 @@ def validate(doc: dict, path) -> None:
     version = int(schema.rsplit("v", 1)[1])
     v2, v3, v4 = version >= 2, version >= 3, version >= 4
     v5, v6, v7, v8 = version >= 5, version >= 6, version >= 7, version >= 8
+    # The SIMD fields were required in v8 only; v9 removed the kernels.
+    simd_v8 = version == 8
     required_top = REQUIRED_TOP_V2 if v2 else REQUIRED_TOP
     required_config = (REQUIRED_CONFIG_V5 if v5 else
                        REQUIRED_CONFIG_V2 if v2 else REQUIRED_CONFIG)
@@ -328,8 +334,8 @@ def validate(doc: dict, path) -> None:
     if v6 and time_probe is None:
         fail(f"{path}: schema v6 requires the time_probe object")
     if time_probe is not None:
-        required_time = (REQUIRED_TIME_PROBE | {"simd_backend"} if v8
-                         else REQUIRED_TIME_PROBE)
+        required_time = (REQUIRED_TIME_PROBE | {"simd_backend"}
+                         if simd_v8 else REQUIRED_TIME_PROBE)
         if missing := required_time - time_probe.keys():
             fail(f"{path}: time_probe missing keys: {sorted(missing)}")
         if time_probe["candidates"] <= 0:
@@ -364,8 +370,8 @@ def validate(doc: dict, path) -> None:
     if group_probe is not None:
         if missing := {"metric", "graph"} - group_probe.keys():
             fail(f"{path}: group_probe missing arms: {sorted(missing)}")
-        required_arm = (REQUIRED_GROUP_PROBE_ARM | {"simd_backend"} if v8
-                        else REQUIRED_GROUP_PROBE_ARM)
+        required_arm = (REQUIRED_GROUP_PROBE_ARM | {"simd_backend"}
+                        if simd_v8 else REQUIRED_GROUP_PROBE_ARM)
         for arm_name in ("metric", "graph"):
             arm = group_probe[arm_name]
             if missing := required_arm - arm.keys():
@@ -394,8 +400,8 @@ def validate(doc: dict, path) -> None:
                  f"below the {GROUP_PROBE_MIN_SPEEDUP:.2f}x floor over the "
                  f"per-candidate (kOff) baseline")
 
-    simd_probe = doc.get("simd_probe")
-    if v8 and simd_probe is None:
+    simd_probe = doc.get("simd_probe") if version <= 8 else None
+    if simd_v8 and simd_probe is None:
         fail(f"{path}: schema v8 requires the simd_probe object")
     if simd_probe is not None:
         if "backend" not in simd_probe:

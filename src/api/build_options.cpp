@@ -5,7 +5,7 @@
 namespace gsp {
 
 void BuildOptions::validate() const {
-    if (stretch < 1.0) {
+    if (!(stretch >= 1.0)) {
         throw std::invalid_argument("BuildOptions: stretch must be >= 1");
     }
     if (!(engine.bucket_ratio > 1.0)) {
@@ -18,6 +18,9 @@ void BuildOptions::validate() const {
         (engine.sketch_ways & (engine.sketch_ways - 1)) != 0) {
         throw std::invalid_argument(
             "BuildOptions: engine.sketch_ways must be a power of two >= 1");
+    }
+    if (engine.chunk_soft_cap == 0) {
+        throw std::invalid_argument("BuildOptions: engine.chunk_soft_cap must be >= 1");
     }
     if (!(engine.parallel_accept_gate >= 0.0)) {
         throw std::invalid_argument(

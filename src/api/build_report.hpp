@@ -40,11 +40,8 @@ struct BuildReport {
     std::size_t pools_constructed = 0;       ///< thread pools built by this call
     std::size_t workspaces_constructed = 0;  ///< Dijkstra workspaces built by this call
 
-    /// The SIMD kernel backend the build's probes actually executed
-    /// ("scalar", "sse4.2", "avx2"): the dispatch-resolved answer, not the
-    /// knob -- a kAuto run on AVX2 hardware records "avx2", and a bench
-    /// history row carries it so cross-backend timing comparisons are
-    /// refused rather than silently mixed.
+    /// Always "scalar" for engine builds (the engine's loops are plain
+    /// scalar code); kept because benchmark artifacts record the field.
     std::string simd_backend;
 
     /// Process peak RSS (KiB) sampled when the build finished. The OS

@@ -86,15 +86,15 @@ void MetricCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
     const auto* e2 = dynamic_cast<const EuclideanMetric*>(&m_);
     if (e2 != nullptr && e2->dim() == 2) {
         // 2D Euclidean all-pairs: row i's weights d(i, i+1..n-1) in one
-        // batched kernel sweep instead of n - i - 1 virtual calls. The
-        // kernel is bit-exact against the scalar path, so the candidate
-        // list (weights and tie order) is unchanged.
+        // non-virtual loop instead of n - i - 1 virtual calls. The loop is
+        // bit-exact against distance(), so the candidate list (weights
+        // and tie order) is unchanged.
         std::vector<VertexId> ids(n);
         for (VertexId j = 0; j < n; ++j) ids[j] = j;
         std::vector<Weight> row(n);
         for (VertexId i = 0; i + 1 < n; ++i) {
             const std::span<const VertexId> tail(ids.data() + i + 1, n - i - 1);
-            e2->distances_from(i, tail, row.data(), *simd_);
+            e2->distances_from(i, tail, row.data());
             for (std::size_t j = 0; j < tail.size(); ++j) {
                 out.push_back(GreedyCandidate{i, tail[j], row[j]});
             }
@@ -120,9 +120,6 @@ void MetricCandidateSource::configure_engine(GreedyEngineOptions& options,
     if (options.group_probing == EngineTuning::GroupProbing::kAuto) {
         options.group_probing = EngineTuning::GroupProbing::kOn;
     }
-    // Pin the candidate-weight batches to the run's resolved backend
-    // (configure_engine runs before materialize/chunks in a session build).
-    simd_ = &resolve_simd_kernels(options.simd_backend);
     // The metric would be a sound goal oracle here (edge weights are
     // metric distances), but neither wiring pays on all-pairs streams,
     // measured at n = 512..2048: `goal_bound` reroutes the point probes

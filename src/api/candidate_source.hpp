@@ -129,12 +129,6 @@ public:
 
 private:
     const MetricSpace& m_;
-    /// Kernel table for the batched candidate-weight evaluation (2D
-    /// Euclidean inputs); configure_engine pins it to the run's resolved
-    /// backend so a kScalar build stays scalar end to end. The kernels are
-    /// bit-exact, so the weights (and the tie order built on them) are
-    /// identical either way.
-    const simd::Kernels* simd_ = &simd::auto_kernels();
 };
 
 /// Stretch guarantee of greedy-over-WSPD-pairs: a t-path between the

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/greedy_engine.hpp"
-
 namespace gsp {
 
 double GridCandidateSource::resolve_separation(double separation, double epsilon) {
@@ -65,11 +63,6 @@ void GridCandidateSource::configure_engine(GreedyEngineOptions& options, Spanner
     if (options.goal_bound == nullptr) {
         options.goal_bound = &m_;
     }
-    // The grid's pair-distance batches run through the same kernel table
-    // the engine resolves for its probes, so one knob pins every consumer
-    // (the property tests rely on a kScalar build never touching a vector
-    // lane anywhere in the pipeline).
-    grid_.set_kernels(&resolve_simd_kernels(options.simd_backend));
 }
 
 }  // namespace gsp

@@ -69,9 +69,7 @@ GSP_SERIAL_ONLY Graph SpannerSession::build(CandidateSource& source,
         report->pools_constructed = resources_.pools_constructed() - pools_before;
         report->workspaces_constructed =
             resources_.workspaces_constructed() - workspaces_before;
-        // The dispatch-resolved answer, not the knob: what the probes ran.
-        report->simd_backend =
-            simd::backend_label(resolve_simd_kernels(engine.options().simd_backend));
+        report->simd_backend = "scalar";
         report->peak_rss_kb = process_peak_rss_kb();
         report->stats = stats;
     }

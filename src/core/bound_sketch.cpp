@@ -1,7 +1,6 @@
 #include "core/bound_sketch.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace gsp {
@@ -73,27 +72,16 @@ GSP_DECISION_PURE GSP_HOT_PATH Weight BoundSketch::via_upper_bound(
     Weight best = kInfiniteWeight;
     // u's ways each name one landmark src with ub(src, u); the matching
     // way of v (same low bits of src) holds v's record of the same
-    // landmark iff the sources agree. One vector load + compare per block
-    // finds the agreeing ways; the ub lanes are only read for matches.
-    // (min is order-independent for the NaN-free bounds stored here, so
-    // the lane-order walk returns exactly the scalar loop's minimum.)
+    // landmark iff the sources agree.
     const std::size_t ubase = static_cast<std::size_t>(u) * ways_;
     const std::size_t vbase = static_cast<std::size_t>(v) * ways_;
-    std::size_t w = 0;
-    while (w < ways_) {
-        const std::size_t blk = std::min(ways_ - w, simd::kMaxLanes);
-        std::uint32_t mask = simd_->match_pairs(src_.data() + ubase + w,
-                                                src_.data() + vbase + w, blk,
-                                                kNoVertex);
-        while (mask != 0) {
-            const unsigned j = static_cast<unsigned>(std::countr_zero(mask));
-            mask &= mask - 1;
-            const Weight au = ub_[ubase + w + j];
-            const Weight av = ub_[vbase + w + j];
-            if (au == kInfiniteWeight || av == kInfiniteWeight) continue;
-            best = std::min(best, au + av);
-        }
-        w += blk;
+    for (std::size_t w = 0; w < ways_; ++w) {
+        const VertexId src = src_[ubase + w];
+        if (src == kNoVertex || src != src_[vbase + w]) continue;
+        const Weight au = ub_[ubase + w];
+        const Weight av = ub_[vbase + w];
+        if (au == kInfiniteWeight || av == kInfiniteWeight) continue;
+        best = std::min(best, au + av);
     }
     return best;
 }

@@ -48,10 +48,8 @@
 // reads strictly after the join.
 // Storage is SoA (per-field arrays indexed slot = x * ways + way) rather
 // than an array of Entry structs: the hot consult, via_upper_bound, then
-// reads the two vertices' way-contiguous source arrays with ONE vector
-// load + compare per block (simd::Kernels::match_pairs) instead of a
-// scalar way loop over 32-byte structs, touching the ub lanes only for
-// matching ways.
+// walks the two vertices' way-contiguous source arrays, touching the ub
+// arrays only for matching ways.
 #pragma once
 
 #include <cstddef>
@@ -62,7 +60,6 @@
 
 #include "graph/types.hpp"
 #include "simd/aligned.hpp"
-#include "simd/simd.hpp"
 #include "util/annotations.hpp"
 
 namespace gsp {
@@ -84,12 +81,6 @@ public:
         return src_.capacity() * sizeof(VertexId) + ub_.capacity() * sizeof(Weight) +
                lo_.capacity() * sizeof(Weight) +
                lo_epoch_.capacity() * sizeof(std::uint64_t);
-    }
-
-    /// Vector kernel table for the way probe; nullptr restores the
-    /// runtime-dispatched default.
-    void set_kernels(const simd::Kernels* k) {
-        simd_ = k != nullptr ? k : &simd::auto_kernels();
     }
 
     /// Record an exact distance d(src, x) = d measured at `epoch`: upper
@@ -137,13 +128,10 @@ private:
 
     std::size_t ways_ = kDefaultWays;
     // SoA slot fields, n * ways_ each, way-indexed by source low bits.
-    // src_ is the vector probe's operand; aligned so a way block never
-    // splits its first load.
     simd::AlignedVector<VertexId> src_;
     simd::AlignedVector<Weight> ub_;
     GSP_EPOCH_GUARDED simd::AlignedVector<Weight> lo_;
     GSP_EPOCH_GUARDED simd::AlignedVector<std::uint64_t> lo_epoch_;
-    const simd::Kernels* simd_ = &simd::auto_kernels();
 };
 
 /// Phase-A distance certificates for the speculative accept path: one per

@@ -115,21 +115,6 @@ struct EngineTuning {
     enum class GroupProbing { kAuto, kOn, kOff };
     GroupProbing group_probing = GroupProbing::kAuto;
 
-    /// Vector kernel backend for the hot inner loops (the far sweep and
-    /// batched relaxation in BatchedProbe, the sketch way probe, batched
-    /// 2D distance evaluation, radix chunk finalization). kAuto runtime-
-    /// dispatches to the widest instruction set the CPU reports (AVX2 >
-    /// SSE4.2 > scalar); kScalar pins the pure-C++ reference; kForced pins
-    /// the widest vector table the build can express even where a future
-    /// heuristic might prefer scalar (degrading gracefully to scalar on
-    /// non-x86-64 builds). Decision preserving in the strongest sense the
-    /// codebase uses: every kernel is bit-exact against its scalar
-    /// reference (see src/simd/simd.hpp), so edges, verdicts, AND stats
-    /// are identical across backends -- property-tested by
-    /// simd_kernel_test.
-    enum class SimdBackend { kAuto, kScalar, kForced };
-    SimdBackend simd_backend = SimdBackend::kAuto;
-
     /// Optional goal-direction oracle for the engine's single-target point
     /// probes: when set, they run A* keyed by g + metric(v, target)
     /// instead of a blind (bi)directional sweep, so a probe explores the

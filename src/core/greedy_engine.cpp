@@ -15,35 +15,22 @@
 
 namespace gsp {
 
-const simd::Kernels& resolve_simd_kernels(EngineTuning::SimdBackend backend) {
-    switch (backend) {
-        case EngineTuning::SimdBackend::kScalar:
-            return simd::scalar_kernels();
-        case EngineTuning::SimdBackend::kForced:
-            return simd::kernels_for(simd::detect());
-        case EngineTuning::SimdBackend::kAuto:
-            break;
-    }
-    return simd::auto_kernels();
-}
-
 namespace {
 
 /// The goal oracle handed to the group probe: point queries stay virtual
 /// calls, but when BatchedProbe asks for a whole frontier's lower bounds
-/// at once (its kBatchGoal path) a 2D Euclidean oracle evaluates them
-/// through the vector distance kernel. Bitwise-identical to the scalar
-/// loop (see EuclideanMetric::distances_from), so engagement decisions
-/// and verdicts are unchanged.
+/// at once (its kBatchGoal path) a 2D Euclidean oracle evaluates them in
+/// one non-virtual loop. Bitwise-identical to per-target distance() calls
+/// (see EuclideanMetric::distances_from), so engagement decisions and
+/// verdicts are unchanged.
 struct ProbeGoalOracle {
     const MetricSpace* m = nullptr;
     const EuclideanMetric* e2 = nullptr;  ///< m downcast, when it is Euclidean
-    const simd::Kernels* k = nullptr;
 
     Weight operator()(VertexId x, VertexId tgt) const { return m->distance(x, tgt); }
     void batch(VertexId x, std::span<const VertexId> targets, Weight* out) const {
         if (e2 != nullptr) {
-            e2->distances_from(x, targets, out, *k);
+            e2->distances_from(x, targets, out);
         } else {
             for (std::size_t i = 0; i < targets.size(); ++i) {
                 out[i] = m->distance(x, targets[i]);
@@ -239,7 +226,7 @@ GreedyEngine::GreedyEngine(std::size_t n, GreedyEngineOptions options,
 }
 
 void GreedyEngine::init() {
-    if (options_.stretch < 1.0) {
+    if (!(options_.stretch >= 1.0)) {
         throw std::invalid_argument("GreedyEngine: stretch must be >= 1");
     }
     if (!(options_.bucket_ratio > 1.0)) {
@@ -364,22 +351,13 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     ws.resize(n_);
     if (parallel) ws_pool.configure(workers_, n_);
 
-    // Resolve the SIMD backend once and hand every consumer the same
-    // kernel table: the serial probe here, the stage-2 workers (via
-    // ctx.simd below), and the sketch's way-probe. The tables are
-    // bit-exact replacements for each other, so this cannot change a
-    // decision -- only how fast the sweeps and relaxations run.
-    const simd::Kernels& simd_k = resolve_simd_kernels(options_.simd_backend);
-    ws.batched().set_kernels(&simd_k);
-    sketch.set_kernels(&simd_k);
     // Goal oracle for the serial group probe, resolved (and downcast)
     // once per run instead of per group.
     const MetricSpace* probe_goal_metric = options_.probe_goal_bound != nullptr
                                                ? options_.probe_goal_bound
                                                : options_.goal_bound;
     const ProbeGoalOracle probe_goal_oracle{
-        probe_goal_metric, dynamic_cast<const EuclideanMetric*>(probe_goal_metric),
-        &simd_k};
+        probe_goal_metric, dynamic_cast<const EuclideanMetric*>(probe_goal_metric)};
 
     if (track_bounds) {
         ball_bucket.assign(n_, 0);
@@ -613,7 +591,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             ctx.cert_ball_fallback_work = options_.repair_ball_fallback_work;
             ctx.point_cost_hint = point_cost;
             ctx.cert_ball_cap = options_.repair_cert_cap;
-            ctx.simd = &simd_k;
             const std::size_t published_before = stats.certs_published;
             const std::size_t aborts_before = stats.cert_ball_aborts;
             prefilter_stage.run_batch(*pool_, ws_pool, adapter.view(), ctx, bound,

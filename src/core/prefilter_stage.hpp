@@ -131,14 +131,6 @@ struct PrefilterContext {
     /// Hard cap on a certificate frontier's settled count (the publish
     /// cap; bigger frontiers could never be stored anyway).
     std::size_t cert_ball_cap = 4096;
-    /// Vector kernel table for the group-probe traversals (null = the
-    /// runtime-dispatched default). The engine resolves
-    /// EngineTuning::SimdBackend once per run and threads the table here,
-    /// so stage-2 workers pin exactly the backend the serial loop uses --
-    /// a kScalar/kForced property-test run never mixes backends. The
-    /// kernels are bit-exact across backends, so this (like every field
-    /// above) cannot change a verdict.
-    const simd::Kernels* simd = nullptr;
 };
 
 /// Owns the packed verdict bitsets and per-worker counters. One instance
@@ -422,7 +414,6 @@ GSP_HOT_PATH void PrefilterStage::process_group(
     // (sketch/oracle verdicts of this group), so it is schedule-free.
     if (ctx.group_probe && undecided >= 2) {
         BatchedProbe& probe = ws.batched();
-        probe.set_kernels(ctx.simd);  // pin the run's resolved backend
         const auto is_undecided = [&](std::uint32_t local) {
             if (oracle_reject(ctx.base + local) || far_at_snapshot(ctx.base + local)) {
                 return false;

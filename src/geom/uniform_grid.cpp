@@ -150,37 +150,17 @@ void UniformGrid2D::collect_window(double lo, double hi, std::vector<GreedyCandi
         }
     };
 
-    // Candidate weights are computed in batches: pairs queue their
-    // endpoint coordinates, one distances2d kernel call evaluates up to
-    // kPairBatch of them, and the consumer filter runs over the results in
-    // queue order. The kernel is bitwise equal to m_.distance, so the
-    // emitted candidates -- and the count-mode tallies -- are identical to
-    // the per-pair evaluation at any backend.
-    constexpr std::size_t kPairBatch = 8;
-    struct {
-        double ax[kPairBatch], ay[kPairBatch], bx[kPairBatch], by[kPairBatch];
-        VertexId u[kPairBatch], v[kPairBatch];
-        std::size_t n = 0;
-    } pend;
-    double dist[kPairBatch];
-    const auto flush = [&](auto&& consume) {
-        if (pend.n == 0) return;
-        simd_->distances2d(pend.ax, pend.ay, pend.bx, pend.by, pend.n, dist);
-        for (std::size_t i = 0; i < pend.n; ++i) consume(pend.u[i], pend.v[i], dist[i]);
-        pend.n = 0;
-    };
+    // Each pair's weight is m_.distance's own sqrt(dx*dx + dy*dy) on the
+    // same coordinates (the build forbids FMA contraction), so emitted
+    // weights are bitwise the metric's.
     const auto push_pair = [&](VertexId a, VertexId b, auto&& consume) {
         const VertexId u = std::min(a, b);
         const VertexId v = std::max(a, b);
         const auto pu = m_.point(u);
         const auto pv = m_.point(v);
-        pend.ax[pend.n] = pu[0];
-        pend.ay[pend.n] = pu[1];
-        pend.bx[pend.n] = pv[0];
-        pend.by[pend.n] = pv[1];
-        pend.u[pend.n] = u;
-        pend.v[pend.n] = v;
-        if (++pend.n == kPairBatch) flush(consume);
+        const double dx = pu[0] - pv[0];
+        const double dy = pu[1] - pv[1];
+        consume(u, v, std::sqrt(dx * dx + dy * dy));
     };
 
     // Near pairs: exact point-pair enumeration at level 0. A pair at
@@ -214,7 +194,6 @@ void UniformGrid2D::collect_window(double lo, double hi, std::vector<GreedyCandi
                     }
                 }
             });
-            flush(consume_near);  // the filter changes below: drain first
         }
     }
 
@@ -234,7 +213,6 @@ void UniformGrid2D::collect_window(double lo, double hi, std::vector<GreedyCandi
             push_pair(lv.rep[a], lv.rep[b], consume_far);
         });
     }
-    flush(consume_far);  // one filter across levels: drain once at the end
 }
 
 GreedyCandidate UniformGrid2D::covering_candidate(VertexId i, VertexId j) const {

@@ -52,7 +52,6 @@
 #include "metric/euclidean.hpp"
 #include "simd/aligned.hpp"
 #include "simd/radix_sort.hpp"
-#include "simd/simd.hpp"
 
 namespace gsp {
 
@@ -89,13 +88,6 @@ public:
     /// Upper bound on any pairwise distance (the bounding-box diagonal).
     [[nodiscard]] double max_distance_bound() const { return dmax_; }
 
-    /// Vector kernel table for the batched candidate-weight evaluation in
-    /// collect_window (one distances2d call per 8 pairs, bitwise equal to
-    /// per-pair metric().distance); nullptr restores the runtime default.
-    void set_kernels(const simd::Kernels* k) {
-        simd_ = k != nullptr ? k : &simd::auto_kernels();
-    }
-
     /// Append every candidate of the window [lo, hi) -- near point pairs
     /// and ring representative pairs with weight in the window, duplicates
     /// and all, unsorted. With `out` null, only counts into `*count`
@@ -121,7 +113,6 @@ private:
     double dmax_ = 0.0;          ///< bounding-box diagonal
     double near_cutoff_ = 0.0;   ///< s * r_0
     std::vector<Level> levels_;
-    const simd::Kernels* simd_ = &simd::auto_kernels();
 };
 
 /// The pull-based generator over a grid: the window sweep described in

@@ -13,9 +13,8 @@
 //  * a target whose radius falls below the frontier's current minimum can
 //    never be reached in time -- it is decided *far* without ever being
 //    visited. Radii are kept sorted, so this check is one forward sweep
-//    of a cursor over a contiguous Weight array per pop (the
-//    SIMD-friendly bound-evaluation pass: amortized O(k) total, laid out
-//    for vector compare);
+//    of a cursor over a contiguous Weight array per pop (amortized O(k)
+//    total);
 //  * the relaxation limit is always the largest *undecided* radius, so
 //    the searched area shrinks as targets resolve, and the probe
 //    terminates the moment the last target is decided -- typically far
@@ -64,15 +63,8 @@
 // certified_radius() extends the same argument to *every* vertex: the
 // settled list is complete out to that radius (absent => farther), which
 // is exactly the certificate contract the speculative repair path needs.
-// The far sweep, the relaxation drain, and the goal-oracle bound pass all
-// run through the vector kernel table (src/simd/simd.hpp): the sweep is
-// one lower-bound scan over the contiguous effective-radii array, the
-// drain computes a block of tentative distances and a <= limit lane mask
-// per kernel call (labels still update in scalar iteration order), and a
-// batch-capable goal oracle evaluates every live target's lower bound in
-// one call. Every kernel is bit-exact against its scalar reference, so
-// verdicts, settles, work counters, and queue contents are identical
-// across backends -- set_kernels() only ever trades nanoseconds.
+// A batch-capable goal oracle evaluates every live target's lower bound
+// in one call.
 #pragma once
 
 #include <algorithm>
@@ -82,13 +74,11 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "graph/types.hpp"
 #include "simd/aligned.hpp"
-#include "simd/simd.hpp"
 #include "util/annotations.hpp"
 #include "util/bucket_queue.hpp"
 
@@ -96,16 +86,6 @@ namespace gsp {
 
 class BatchedProbe {
 public:
-    /// Vector kernel table for the sweeps and drains; nullptr restores the
-    /// runtime-dispatched default. The table must outlive the probe's use
-    /// (the engine hands out pointers to the static per-backend tables).
-    void set_kernels(const simd::Kernels* k) {
-        simd_ = k != nullptr ? k : &simd::auto_kernels();
-    }
-
-    /// The table the next run will use (bench/report introspection).
-    [[nodiscard]] const simd::Kernels& kernels() const { return *simd_; }
-
     /// Goal-directed pruning engages once at most this many targets are
     /// still undecided: each candidate relaxation then pays one oracle
     /// lower bound per live target, so the cutoff keeps that scan O(1)
@@ -174,7 +154,7 @@ public:
             }
         }
         // Effective radii min(radii[i], cap) in a contiguous aligned array:
-        // the far sweep's kernel operand (still nondecreasing).
+        // the far sweep's operand (still nondecreasing).
         eff_.resize(k);
         for (std::size_t i = 0; i < k; ++i) eff_[i] = std::min(radii[i], cap);
         // Does the goal oracle batch-evaluate lower bounds? (The metric
@@ -250,14 +230,13 @@ public:
             // last chance to settle (monotone pops: no future settle below
             // d, and the cap pruned everything beyond) and close as
             // undecided fall-throughs.
-            for (const std::size_t stop =
-                     simd_->sweep_lower_bound(eff_.data(), asc, k, d);
-                 asc < stop; ++asc) {
+            while (asc < k && eff_[asc] < d) {
                 if (!decided_[asc]) {
                     decided_[asc] = 1;
                     if (asc < eligible) far_[asc] = 1;
                     --undecided;
                 }
+                ++asc;
             }
             if (undecided == 0) {
                 finish_early(limit, d);
@@ -295,7 +274,7 @@ public:
             // Keep a relaxation only if its optimistic completion still
             // fits some live target's radius; otherwise it can serve no
             // remaining verdict (see the header note). A batch-capable
-            // oracle evaluates every live lower bound in one kernel call;
+            // oracle evaluates every live lower bound in one call;
             // the bounds are pure, so computing them eagerly instead of
             // short-circuiting cannot change the decision.
             const auto goal_useful = [&](VertexId x, Weight nd) -> bool {
@@ -316,8 +295,10 @@ public:
                     return false;
                 }
             };
-            const auto relax_edge = [&](const HalfEdge& h, Weight nd) {
-                if (goal_mode && !goal_useful(h.to, nd)) return;
+            for (const auto& h : view.neighbors(v)) {
+                const Weight nd = d + h.weight;
+                if (nd > limit) continue;
+                if (goal_mode && !goal_useful(h.to, nd)) continue;
                 const bool fresh = stamp_[h.to] != current_;
                 if (fresh || nd < dist_[h.to]) {
                     stamp_[h.to] = current_;
@@ -325,32 +306,6 @@ public:
                     parent_[h.to] = v;
                     queue_.push(nd, h.to);
                     ++work_;
-                }
-            };
-            const auto nbrs = view.neighbors(v);
-            if constexpr (std::is_convertible_v<decltype(nbrs),
-                                                std::span<const HalfEdge>>) {
-                // The batched drain: one kernel call computes a block of
-                // tentative distances and the <= limit lane mask; labels
-                // and queue pushes then replay in scalar iteration order,
-                // so the traversal is bitwise the per-edge loop's.
-                const std::span<const HalfEdge> edges(nbrs);
-                std::size_t i = 0;
-                while (i < edges.size()) {
-                    const std::size_t blk =
-                        std::min<std::size_t>(edges.size() - i, simd::kMaxLanes);
-                    const std::uint32_t mask = simd_->relax_lanes(
-                        edges.data() + i, blk, d, limit, nd_buf_.data());
-                    for (std::size_t j = 0; j < blk; ++j) {
-                        if ((mask >> j) & 1u) relax_edge(edges[i + j], nd_buf_[j]);
-                    }
-                    i += blk;
-                }
-            } else {
-                for (const auto& h : nbrs) {
-                    const Weight nd = d + h.weight;
-                    if (nd > limit) continue;
-                    relax_edge(h, nd);
                 }
             }
         }
@@ -453,8 +408,8 @@ private:
     }
 
     // SoA label state, epoch-stamped for O(touched) resets; cache-line
-    // aligned so vector sweeps never split their first load and the
-    // arrays never false-share with neighboring allocations.
+    // aligned so the arrays never false-share with neighboring
+    // allocations.
     simd::AlignedVector<Weight> dist_;
     simd::AlignedVector<VertexId> parent_;
     simd::AlignedVector<std::uint64_t> stamp_;
@@ -474,8 +429,6 @@ private:
     std::vector<std::uint32_t> live_;  ///< undecided slots at goal engagement
     std::vector<VertexId> live_targets_;  ///< their target vertices, same order
     std::array<Weight, kGoalLiveMax> lb_buf_{};    ///< batched goal lower bounds
-    std::array<Weight, simd::kMaxLanes> nd_buf_{};  ///< batched tentative dists
-    const simd::Kernels* simd_ = &simd::auto_kernels();
     Weight exact_radius_ = kInfiniteWeight;  ///< settles beyond: upper bounds only
     Weight certified_radius_ = 0.0;
     bool early_exit_ = false;

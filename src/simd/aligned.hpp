@@ -1,17 +1,12 @@
-// Over-aligned allocation for the SoA arrays the vector kernels stream.
+// Over-aligned allocation for the engine's SoA arrays.
 //
-// The kernels themselves use unaligned loads (the penalty on anything
-// post-Nehalem is a cycle when a load splits a cache line, nothing when it
-// does not), so alignment is not a correctness requirement -- it is a
-// layout guarantee: a 64-byte-aligned array never splits its first vector
-// across cache lines and never false-shares its head with a neighboring
-// allocation's tail. The probe label arrays and the grid's flat cell
-// arrays are written by one worker and scanned by vector sweeps, so both
-// properties matter there.
+// Alignment is not a correctness requirement -- it is a layout guarantee:
+// a 64-byte-aligned array starts on a cache line and never false-shares
+// its head with a neighboring allocation's tail. The probe label arrays
+// and the grid's flat cell arrays are written by one worker and scanned
+// in tight loops, so that matters there.
 //
-// kSoAlign = 64 covers one full cache line (and therefore every vector
-// width up to AVX-512); the 32-byte AVX2 requirement mentioned in the
-// layer's design is subsumed.
+// kSoAlign = 64 covers one full cache line.
 #pragma once
 
 #include <cstddef>

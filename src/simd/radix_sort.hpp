@@ -22,8 +22,8 @@
 // counting passes over 16-bit digits, least significant first -- sorts by
 // it while preserving input order of equal keys. Stable + same total
 // order means the output permutation is byte-identical to
-// std::stable_sort with the chunk comparator (the simd_kernel_test
-// asserts this on tie-heavy adversarial inputs).
+// std::stable_sort with the chunk comparator (grid_source_test asserts
+// this on tie-heavy adversarial inputs).
 //
 // Passes whose digit is constant across the array (common: v/u high
 // halves on small ids, weight tails on quantized grids) are detected from

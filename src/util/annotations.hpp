@@ -2,8 +2,8 @@
 // optimisations rest on (and that PRs 2-9 argued only in prose).
 //
 // Every greedy decision must be a pure function of (candidate order, exact
-// distances): that is what makes the chunked / parallel / SIMD builds
-// bit-identical to the serial scalar reference. The property tests and the
+// distances): that is what makes the chunked / parallel builds
+// bit-identical to the serial naive reference. The property tests and the
 // sanitizer CI legs enforce that contract *dynamically*; these macros make
 // it *static*. Each annotation names one invariant class, and
 // scripts/lint/gsp_lint.py carries one checker per annotation (plus two

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -45,6 +46,20 @@ TEST(BuildOptionsTest, ValidatesTheSharedFields) {
     BuildOptions bad_batch;
     bad_batch.engine.parallel_batch = 0;
     EXPECT_THROW(bad_batch.validate(), std::invalid_argument);
+
+    // NaN fails every ordered comparison, so `stretch < 1` let it through.
+    BuildOptions nan_stretch;
+    nan_stretch.stretch = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(nan_stretch.validate(), std::invalid_argument);
+    Rng rng(60);
+    const Graph g = erdos_renyi(60, 0.2, {.lo = 1.0, .hi = 2.0}, rng);
+    GraphCandidateSource source(g);
+    SpannerSession session;
+    EXPECT_THROW((void)session.build(source, nan_stretch), std::invalid_argument);
+
+    BuildOptions bad_chunk;
+    bad_chunk.engine.chunk_soft_cap = 0;
+    EXPECT_THROW(bad_chunk.validate(), std::invalid_argument);
 }
 
 TEST(BuildOptionsTest, SectionsAreValidatedOnlyByTheirConsumers) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -146,6 +147,9 @@ TEST(GreedyEngineTest, RejectsBadOptions) {
     GreedyEngineOptions bad_stretch;
     bad_stretch.stretch = 0.5;
     EXPECT_THROW(GreedyEngine(3, bad_stretch), std::invalid_argument);
+    GreedyEngineOptions nan_stretch;
+    nan_stretch.stretch = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(GreedyEngine(3, nan_stretch), std::invalid_argument);
     GreedyEngineOptions bad_ratio;
     bad_ratio.bucket_ratio = 1.0;
     EXPECT_THROW(GreedyEngine(3, bad_ratio), std::invalid_argument);

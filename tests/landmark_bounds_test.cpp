@@ -158,7 +158,7 @@ TEST(LandmarkTableTest, FewerVerticesThanLandmarks) {
 
 // --- Engine builds: bit-identical to the naive kernel ------------------
 
-const std::size_t kThreadCounts[] = {1, 2, 4};
+const std::size_t kThreadCounts[] = {1, 2, 4, 0};  // 0 = hardware concurrency
 
 /// Builds `make_source()` with the naive kernel and with the default
 /// engine at each thread count, checks the edge sets agree, and returns
