@@ -168,29 +168,6 @@ void graph_kernel_section() {
     mtable.add_row({"mt2 edge set == serial", probe.matches_serial ? "yes" : "NO"});
     mtable.print(std::cout);
 
-    // Accept-heavy probe (clustered-euclidean, accept rate > 30%): the
-    // regime PR 2/PR 3 serialized outright. The two-phase accept path
-    // keeps stage 2 on and resolves tentative accepts by certificate
-    // repair; repairs vs full-query fallbacks are the tracked columns.
-    const auto accept_probe = benchutil::run_accept_probe(1u << 10, 1.5);
-    std::cout << "\n== Accept-heavy probe (speculative two-phase accept path) ==\n";
-    Table atable({"metric", "value"});
-    atable.add_row({"instance", "clustered_geometric n=" + std::to_string(accept_probe.n) +
-                                    ", m=" + std::to_string(accept_probe.m)});
-    atable.add_row({"accept rate |H|/m", fmt(accept_probe.accept_rate, 3)});
-    atable.add_row({"serial (s)", fmt(accept_probe.serial_seconds, 4)});
-    atable.add_row({"mt2 (s)", fmt(accept_probe.mt2_seconds, 4)});
-    atable.add_row({"snapshot accepts", std::to_string(accept_probe.snapshot_accepts)});
-    atable.add_row({"certificate repairs", std::to_string(accept_probe.repairs)});
-    atable.add_row({"  of which reprobed", std::to_string(accept_probe.repair_reprobes)});
-    atable.add_row({"full-query fallbacks", std::to_string(accept_probe.repair_fallbacks)});
-    atable.add_row({"certs published / aborts",
-                    std::to_string(accept_probe.certs_published) + " / " +
-                        std::to_string(accept_probe.cert_ball_aborts)});
-    atable.add_row({"repair share (target >= 0.7)", fmt(accept_probe.repair_share, 3)});
-    atable.add_row({"mt2 edge set == serial", accept_probe.matches_serial ? "yes" : "NO"});
-    atable.print(std::cout);
-
     // Session-reuse probe: the request-serving path. One warm session vs a
     // fresh session per call; warm calls must construct zero thread pools
     // and zero workspaces (the v4 acceptance criterion).
@@ -284,8 +261,7 @@ void graph_kernel_section() {
     const std::string path = benchutil::bench_json_path();
     benchutil::write_bench_greedy_json(path, "bench_runtime", "random_nm", n,
                                        g.num_edges(), t, runs, mem_probe, time_probe,
-                                       group_probe, &session_probe, &probe,
-                                       &accept_probe);
+                                       group_probe, &session_probe, &probe);
     std::cout << "wrote " << path << "\n\n";
 
     // Parallel-stage scaling probe at t = 3: the reject-heavy regime

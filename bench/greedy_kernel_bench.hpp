@@ -3,12 +3,12 @@
 //
 // Both bench_runtime (full-size sweep, the perf-trajectory source of truth)
 // and bench_micro (CI smoke that validates the schema) emit the same JSON
-// shape, version-tagged "gsp.bench_greedy.v9", built on the library's
+// shape, version-tagged "gsp.bench_greedy.v10", built on the library's
 // shared JsonWriter + append_greedy_stats serializer (src/api/build_report)
 // instead of hand-rolled streams:
 //
 //   {
-//     "schema": "gsp.bench_greedy.v5",
+//     "schema": "gsp.bench_greedy.v10",
 //     "source": "<bench binary>",
 //     "stretch": <t>,
 //     "instance": {"kind": ..., "n": ..., "m": ...},
@@ -19,7 +19,6 @@
 //        "bytes_per_candidate": ..., "rss_delta_kb": ..., "stats": {...}},
 //       ...],
 //     "metric_probe": {...},        // bench_runtime only (optional)
-//     "accept_probe": {...},        // bench_runtime only (optional)
 //     "session_probe": {...},       // the session-reuse probe (v4)
 //     "mem_probe": {...},           // the linear-space probe (v5, required)
 //     "time_probe": {...},          // the cell-batched probe (v6, required)
@@ -64,6 +63,11 @@
 // kernels against their scalar references, plus a "simd_backend" field on
 // the time and group probes. v9 drops all three: the engine's loops are
 // plain scalar code again, so there is no backend to ablate or record.
+//
+// v10 drops the v3 speculative-accept columns: the "accept_probe" object
+// and the metric probe's "repairs" / "repair_fallbacks", together with the
+// repair keys of every config's "stats". The engine's stage 2 is the
+// reject-only prefilter again, so there is no repair to count.
 //
 // The output path defaults to BENCH_greedy.json in the working directory;
 // override with the GSP_BENCH_JSON environment variable.
@@ -197,9 +201,6 @@ struct MetricProbeResult {
     double bytes_per_candidate = 0.0;
     /// The PR-2 handoff layout's flat cost on the same run.
     double pr2_bytes_per_candidate = 9.0;
-    /// Two-phase accept-path counters of the mt2 run.
-    std::size_t repairs = 0;
-    std::size_t repair_fallbacks = 0;
     GreedyStats stats;  ///< serial cached-engine run
     std::size_t rss_before_kb = 0;  ///< ru_maxrss sampled around the probe
     std::size_t rss_after_kb = 0;
@@ -232,8 +233,6 @@ inline MetricProbeResult run_metric_probe(std::size_t n, double t) {
     const Graph mt = session.build(source, options, &mt_report);
     probe.mt2_seconds = mt_report.seconds;
     probe.matches_serial = same_edge_set(mt, serial);
-    probe.repairs = mt_report.stats.repairs;
-    probe.repair_fallbacks = mt_report.stats.repair_fallbacks;
     // The parallel handoff adds the verdict bitsets; report the larger of
     // the two runs so the column upper-bounds both paths.
     probe.handoff_bytes = std::max(serial_report.stats.handoff_peak_bytes,
@@ -241,75 +240,6 @@ inline MetricProbeResult run_metric_probe(std::size_t n, double t) {
     probe.bytes_per_candidate =
         static_cast<double>(probe.handoff_bytes) /
         static_cast<double>(probe.candidates == 0 ? 1 : probe.candidates);
-    probe.rss_after_kb = process_peak_rss_kb();
-    return probe;
-}
-
-/// The accept-heavy probe of the speculative two-phase accept path: a
-/// clustered-euclidean geometric graph (dense intra-cluster candidate
-/// sets with near-parallel alternatives) at moderate stretch, tuned so
-/// the greedy keeps > 30% of all candidates -- the regime PR 2/PR 3
-/// serialized entirely. Reports how the parallel run's tentative accepts
-/// resolved: still-current snapshot certificates, phase-B repairs, or
-/// full-query fallbacks. The acceptance criterion is repair_share >= 0.7.
-struct AcceptProbeResult {
-    std::size_t n = 0;
-    std::size_t m = 0;  ///< candidate edges
-    double stretch = 0.0;
-    double accept_rate = 0.0;  ///< |H| / m
-    double serial_seconds = 0.0;
-    double mt2_seconds = 0.0;
-    std::size_t edges = 0;
-    bool matches_serial = false;
-    std::size_t snapshot_accepts = 0;
-    std::size_t repairs = 0;
-    std::size_t repair_reprobes = 0;
-    std::size_t repair_fallbacks = 0;
-    std::size_t certs_published = 0;
-    std::size_t cert_ball_aborts = 0;
-    /// (snapshot_accepts + repairs) / (snapshot_accepts + repairs +
-    /// repair_fallbacks): the share of tentative accepts resolved without
-    /// a full exact query.
-    double repair_share = 0.0;
-    std::size_t rss_before_kb = 0;  ///< ru_maxrss sampled around the probe
-    std::size_t rss_after_kb = 0;
-};
-
-inline AcceptProbeResult run_accept_probe(std::size_t n, double t) {
-    Rng rng(7);
-    AcceptProbeResult probe;
-    probe.rss_before_kb = process_peak_rss_kb();
-    const Graph g = clustered_geometric(n, 12, 60.0, 1.0, 0.6, rng);
-    probe.n = n;
-    probe.m = g.num_edges();
-    probe.stretch = t;
-
-    SpannerSession session;
-    GraphCandidateSource source(g);
-    BuildOptions options;
-    options.stretch = t;
-
-    BuildReport serial_report;
-    const Graph serial = session.build(source, options, &serial_report);
-    probe.serial_seconds = serial_report.seconds;
-    probe.edges = serial.num_edges();
-    probe.accept_rate =
-        static_cast<double>(serial.num_edges()) / static_cast<double>(g.num_edges());
-
-    options.engine.num_threads = 2;
-    BuildReport mt;
-    const Graph parallel = session.build(source, options, &mt);
-    probe.mt2_seconds = mt.seconds;
-    probe.matches_serial = same_edge_set(parallel, serial);
-    probe.snapshot_accepts = mt.stats.snapshot_accepts;
-    probe.repairs = mt.stats.repairs;
-    probe.repair_reprobes = mt.stats.repair_reprobes;
-    probe.repair_fallbacks = mt.stats.repair_fallbacks;
-    probe.certs_published = mt.stats.certs_published;
-    probe.cert_ball_aborts = mt.stats.cert_ball_aborts;
-    const double resolved = static_cast<double>(probe.snapshot_accepts + probe.repairs);
-    const double tentative = resolved + static_cast<double>(probe.repair_fallbacks);
-    probe.repair_share = tentative > 0.0 ? resolved / tentative : 1.0;
     probe.rss_after_kb = process_peak_rss_kb();
     return probe;
 }
@@ -767,11 +697,10 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
                                     const TimeProbeResult& time_probe,
                                     const GroupProbeResult& group_probe,
                                     const SessionProbeResult* session_probe = nullptr,
-                                    const MetricProbeResult* metric_probe = nullptr,
-                                    const AcceptProbeResult* accept_probe = nullptr) {
+                                    const MetricProbeResult* metric_probe = nullptr) {
     JsonWriter w;
     w.begin_object();
-    w.member("schema", "gsp.bench_greedy.v9");
+    w.member("schema", "gsp.bench_greedy.v10");
     w.member("source", source);
     w.member("stretch", t);
     w.key("instance").begin_object();
@@ -819,31 +748,7 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("bytes_per_candidate", p.bytes_per_candidate);
         w.member("pr2_bytes_per_candidate", p.pr2_bytes_per_candidate);
         w.member("sketch_hits", p.stats.sketch_hits);
-        w.member("repairs", p.repairs);
-        w.member("repair_fallbacks", p.repair_fallbacks);
         w.member("dijkstra_runs", p.stats.dijkstra_runs);
-        w.member("rss_delta_kb", p.rss_after_kb - p.rss_before_kb);
-        w.end_object();
-    }
-    if (accept_probe != nullptr) {
-        const AcceptProbeResult& p = *accept_probe;
-        w.key("accept_probe").begin_object();
-        w.member("kind", "clustered_geometric");
-        w.member("n", p.n);
-        w.member("m", p.m);
-        w.member("stretch", p.stretch);
-        w.member("accept_rate", p.accept_rate);
-        w.member("serial_seconds", p.serial_seconds);
-        w.member("mt2_seconds", p.mt2_seconds);
-        w.member("edges", p.edges);
-        w.member("matches_serial", p.matches_serial);
-        w.member("snapshot_accepts", p.snapshot_accepts);
-        w.member("repairs", p.repairs);
-        w.member("repair_reprobes", p.repair_reprobes);
-        w.member("repair_fallbacks", p.repair_fallbacks);
-        w.member("certs_published", p.certs_published);
-        w.member("cert_ball_aborts", p.cert_ball_aborts);
-        w.member("repair_share", p.repair_share);
         w.member("rss_delta_kb", p.rss_after_kb - p.rss_before_kb);
         w.end_object();
     }

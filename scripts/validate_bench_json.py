@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v9)
+"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v10)
 and diff them against the tracked bench history.
 
 Usage:
@@ -76,8 +76,15 @@ than flagged as a regression or an improvement. Schema v9 (the SIMD
 dispatch layer deleted) drops the simd_probe object and the simd_backend
 fields again: the engine's loops are plain scalar code, so v9 documents
 need neither, and the 1.3x floor -- which gated only the deleted vector
-kernels -- no longer applies. Older entries are still accepted and
-diffed on the fields they carry.
+kernels -- no longer applies. Schema v10 (the speculative accept path
+deleted) drops the v3 repair counters ("repairs", "repair_reprobes",
+"repair_fallbacks", "certs_published", "cert_ball_aborts") and the v7
+"certs_two_sided" from every config's stats block, and the
+"accept_probe" object with them: stage 2 is the reject-only prefilter
+again, so a v10 document carrying any of them is rejected, and the 0.7
+repair_share floor -- which gated only the deleted repair path -- no
+longer applies. Older entries are still accepted and diffed on the
+fields they carry.
 
 Exits non-zero if a file is missing, malformed, or violates the schema --
 including the engine's core contract that every configuration matched the
@@ -88,7 +95,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 10)}
+SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 11)}
 REQUIRED_TOP = {"schema", "source", "stretch", "instance", "configs",
                 "speedup_full_vs_naive"}
 REQUIRED_CONFIG = {"name", "bidirectional", "ball_sharing", "csr_snapshot",
@@ -101,10 +108,10 @@ REQUIRED_CONFIG_V2 = REQUIRED_CONFIG | {"bound_sketch", "handoff_bytes",
 REQUIRED_STATS_V2 = REQUIRED_STATS | {"csr_compactions", "sketch_hits",
                                       "sketch_accepts", "snapshot_accepts"}
 REQUIRED_TOP_V2 = REQUIRED_TOP | {"peak_rss_kb"}
-# v3 additions: the two-phase accept-path counters.
-REQUIRED_STATS_V3 = REQUIRED_STATS_V2 | {"repairs", "repair_reprobes",
-                                         "repair_fallbacks", "certs_published",
-                                         "cert_ball_aborts"}
+# v3 additions: the two-phase accept-path counters (dropped again in v10).
+REPAIR_STATS_V3 = {"repairs", "repair_reprobes", "repair_fallbacks",
+                   "certs_published", "cert_ball_aborts"}
+REQUIRED_STATS_V3 = REQUIRED_STATS_V2 | REPAIR_STATS_V3
 REQUIRED_METRIC_PROBE = {"kind", "n", "candidates", "stretch", "serial_seconds",
                          "mt2_seconds", "edges", "matches_serial",
                          "handoff_bytes", "bytes_per_candidate",
@@ -178,6 +185,11 @@ REQUIRED_GROUP_PROBE_ARM = {"kind", "n", "m", "stretch", "candidates",
 # to restate the headline.
 GROUP_PROBE_MIN_SPEEDUP = 1.05
 
+# v10: the speculative accept path is gone -- its counters and the
+# accept-heavy probe leave the schema.
+REMOVED_STATS_V10 = REPAIR_STATS_V3 | {"certs_two_sided"}
+REQUIRED_STATS_V10 = REQUIRED_STATS_V7 - REMOVED_STATS_V10
+
 # v8 additions: the SIMD kernel ablation and the dispatch-honesty fields.
 REQUIRED_SIMD_KERNELS = ("far_sweep", "distance_batch", "sketch_probe",
                          "radix_sort")
@@ -216,12 +228,14 @@ def validate(doc: dict, path) -> None:
     version = int(schema.rsplit("v", 1)[1])
     v2, v3, v4 = version >= 2, version >= 3, version >= 4
     v5, v6, v7, v8 = version >= 5, version >= 6, version >= 7, version >= 8
+    v10 = version >= 10
     # The SIMD fields were required in v8 only; v9 removed the kernels.
     simd_v8 = version == 8
     required_top = REQUIRED_TOP_V2 if v2 else REQUIRED_TOP
     required_config = (REQUIRED_CONFIG_V5 if v5 else
                        REQUIRED_CONFIG_V2 if v2 else REQUIRED_CONFIG)
-    required_stats = (REQUIRED_STATS_V7 if v7 else
+    required_stats = (REQUIRED_STATS_V10 if v10 else
+                      REQUIRED_STATS_V7 if v7 else
                       REQUIRED_STATS_V6 if v6 else
                       REQUIRED_STATS_V5 if v5 else
                       REQUIRED_STATS_V3 if v3 else
@@ -243,6 +257,9 @@ def validate(doc: dict, path) -> None:
             fail(f"{path}: config {c.get('name', '?')} missing keys: {sorted(missing)}")
         if missing := required_stats - c["stats"].keys():
             fail(f"{path}: config {c['name']} stats missing: {sorted(missing)}")
+        if v10 and (stale := REMOVED_STATS_V10 & c["stats"].keys()):
+            fail(f"{path}: config {c['name']} stats carry removed repair "
+                 f"counters: {sorted(stale)}")
         if c["seconds"] < 0:
             fail(f"{path}: config {c['name']} has negative seconds")
         if not c["matches_naive"]:
@@ -435,6 +452,8 @@ def validate(doc: dict, path) -> None:
                  f"{SIMD_PROBE_MIN_KERNELS_OVER_FLOOR} required")
 
     accept_probe = doc.get("accept_probe")
+    if v10 and accept_probe is not None:
+        fail(f"{path}: schema v10 has no accept_probe object")
     if accept_probe is not None:
         if missing := REQUIRED_ACCEPT_PROBE - accept_probe.keys():
             fail(f"{path}: accept_probe missing keys: {sorted(missing)}")

@@ -6,11 +6,6 @@
 // small section per algorithm family. Callers set the sections they use;
 // validate() checks the whole object up front so a bad combination fails
 // before any work (and before any stats out-param could be left stale).
-//
-// This replaces the per-front-door option structs (GreedyEngineOptions as
-// a public surface, MetricGreedyOptions, ApproxGreedyOptions) that each
-// re-declared the engine knobs and drifted apart; those survive only as
-// deprecated wrappers compiled out under -DGSP_NO_DEPRECATED.
 #pragma once
 
 #include <cstddef>
@@ -66,7 +61,7 @@ struct BuildOptions {
     } baswana_sen;
 
     /// Throws std::invalid_argument on any inconsistent *shared* field
-    /// (stretch + the engine block). Called by SpannerSession::build and
+    /// (stretch + EngineTuning::validate). Called by SpannerSession::build and
     /// AlgorithmRegistry::build before any work. Per-algorithm sections
     /// are deliberately NOT checked here -- a build must never be vetoed
     /// by a section it does not consume (e.g. a theta build with an

@@ -12,21 +12,4 @@ ApproxGreedyResult approx_greedy_spanner(const MetricSpace& m, double epsilon) {
     return approx_greedy_build(session, m, options);
 }
 
-#ifndef GSP_NO_DEPRECATED
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-ApproxGreedyResult approx_greedy_spanner(const MetricSpace& m,
-                                         const ApproxGreedyOptions& options) {
-    SpannerSession session;
-    BuildOptions build;
-    build.approx.epsilon = options.epsilon;
-    build.approx.theta_cones_override = options.theta_cones_override;
-    build.approx.use_cluster_oracle = options.use_cluster_oracle;
-    build.approx.net_degree_cap = options.net_degree_cap;
-    build.engine = options.engine;
-    return approx_greedy_build(session, m, build);
-}
-#pragma GCC diagnostic pop
-#endif  // GSP_NO_DEPRECATED
-
 }  // namespace gsp

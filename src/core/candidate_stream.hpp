@@ -134,53 +134,6 @@ private:
     std::size_t peak_bytes_ = 0;
 };
 
-/// Chooses stage-2 batch widths from the *predicted* accept rate (the
-/// previous batch's measured rate -- a pure function of the greedy
-/// decisions, hence identical at every thread count and schedule).
-///
-/// PR 2 used one fixed width for every batch. With the speculative accept
-/// path the right width depends on the regime: a reject-heavy batch wants
-/// to be wide (stage-2 facts rarely go stale, and wider batches amortize
-/// the fan-out), while an accept-heavy batch wants to be narrow -- every
-/// insertion staled the certificates of all later candidates in the
-/// batch, so phase-B repair work per candidate grows with the number of
-/// in-batch insertions before it. The planner sizes batches so the
-/// *expected insertions per batch* stay near `target_accepts`:
-///
-///     width = clamp(target_accepts / predicted_rate, min_width, max_batch)
-///
-/// which degenerates to max_batch whenever the predicted rate is at or
-/// below target_accepts / max_batch (the reject-heavy regime).
-class BatchPlanner {
-public:
-    /// `max_batch` is the configured stage-2 batch width (the PR-2
-    /// constant, still the ceiling); `target_accepts` the insertion budget
-    /// a batch should stay near when accepts dominate.
-    BatchPlanner(std::size_t max_batch, std::size_t target_accepts)
-        : max_batch_(max_batch),
-          target_accepts_(target_accepts == 0 ? 1 : target_accepts),
-          // Never plan below the fan-out's break-even width (or max_batch
-          // itself when the caller configured something tiny).
-          min_width_(max_batch < kMinWidth ? max_batch : kMinWidth) {}
-
-    [[nodiscard]] GSP_DECISION_PURE std::size_t next_width(
-        double predicted_accept_rate) const {
-        if (predicted_accept_rate <= 0.0) return max_batch_;
-        const double ideal =
-            static_cast<double>(target_accepts_) / predicted_accept_rate;
-        if (ideal >= static_cast<double>(max_batch_)) return max_batch_;
-        const auto width = static_cast<std::size_t>(ideal);
-        return width < min_width_ ? min_width_ : width;
-    }
-
-private:
-    static constexpr std::size_t kMinWidth = 64;
-
-    std::size_t max_batch_;
-    std::size_t target_accepts_;
-    std::size_t min_width_;
-};
-
 /// A bucket's candidates grouped by a per-candidate *anchor* endpoint,
 /// with lazy O(bucket) clearing (a bucket costs O(its candidates), never
 /// O(n)). Groups list *bucket-local* candidate indices (global index minus

@@ -1,13 +1,10 @@
 // The shared engine configuration block.
 //
-// Before the unified API every greedy front door re-declared the same
-// knobs: GreedyEngineOptions, MetricGreedyOptions and ApproxGreedyOptions
-// each carried their own num_threads / sketch_ways / speculative_repair
-// (and drifted -- the metric path never exposed bound_sketch at all).
-// EngineTuning is that block declared once: GreedyEngineOptions derives
-// from it (so `options.bidirectional` keeps reading as before), the
-// legacy option structs embed it, and the api layer's BuildOptions carries
-// it verbatim as its `engine` section.
+// The engine knobs, declared once: GreedyEngineOptions derives from
+// EngineTuning (so `options.bidirectional` reads flat), and the api
+// layer's BuildOptions carries it verbatim as its `engine` section.
+// validate() is the one range check of the block; BuildOptions::validate
+// and GreedyEngine's constructor both call it.
 //
 // Every field here is *decision preserving*: the greedy edge set is
 // bit-identical at every setting (the knobs trade work, not output).
@@ -45,30 +42,14 @@ struct EngineTuning {
     /// depend only on the input. Ignored when serial.
     std::size_t parallel_batch = 2048;
 
-    /// Accept-rate boundary for stage 2, keyed on the previous batch's
-    /// measured accept rate (a pure function of the greedy decisions,
-    /// hence identical at every thread count). With speculative_repair
-    /// *off*, a batch above the gate skips stage 2 entirely; with repair
-    /// *on*, the gate instead switches stage 2 into certificate mode.
-    /// 1.0 = never predict accept-heavy.
+    /// Accept-rate boundary, keyed on the previous batch's measured accept
+    /// rate (a pure function of the greedy decisions, hence identical at
+    /// every thread count). A batch predicted above the gate skips stage
+    /// 2 entirely -- its snapshot facts would die on the first insertion
+    /// -- and the serial cell-ball and group-probe rules veto their
+    /// shared traversals there. 1.0 = never predict accept-heavy. Must be
+    /// >= 0.
     double parallel_accept_gate = 0.25;
-
-    /// The speculative two-phase accept path: phase-A certificate balls in
-    /// stage 2, phase-B bounded repair probes in the insertion loop.
-    /// Decisions are exact either way. No effect on serial runs.
-    bool speculative_repair = true;
-
-    /// Largest settled frontier a phase-A certificate may store (and the
-    /// settled-count abort of a certificate-mode ball attempt).
-    std::size_t repair_cert_cap = 128;
-
-    /// Work budget (heap pushes) of a certificate-mode ball attempt while
-    /// the serial point-query cost model is still uncalibrated.
-    std::size_t repair_ball_fallback_work = 8192;
-
-    /// Insertion budget per batch for the accept-rate batch planner; only
-    /// consulted when speculative_repair is on.
-    std::size_t parallel_target_accepts = 128;
 
     /// Bound-sketch associativity: slots per vertex (power of two).
     std::size_t sketch_ways = BoundSketch::kDefaultWays;
@@ -161,6 +142,12 @@ struct EngineTuning {
         t.parallel_prefilter = false;
         return t;
     }
+
+    /// Throws std::invalid_argument when a field is out of range
+    /// (bucket_ratio <= 1, a zero parallel_batch or chunk_soft_cap,
+    /// sketch_ways not a power of two, a negative or NaN
+    /// parallel_accept_gate).
+    void validate() const;
 };
 
 }  // namespace gsp

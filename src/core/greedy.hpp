@@ -43,25 +43,15 @@ struct GreedyStats {
     std::size_t snapshot_accepts = 0;   ///< accepts certified by the bucket-start probe
     std::size_t prefilter_gated_off = 0;  ///< 1 if the measured-cost gate disabled the prefilter
 
-    // Speculative-accept counters (zero when speculative_repair is off or
-    // the run is serial). A "tentative accept" is a candidate phase A
-    // certified far-at-snapshot; when insertions staled the certificate,
-    // phase B either repairs it (inspecting only paths through the edges
-    // inserted since the snapshot) or falls back to the full exact query.
-    std::size_t repairs = 0;            ///< stale certificates resolved by repair alone
-    std::size_t repair_reprobes = 0;    ///< repairs that needed the seeded probe
-                                        ///< (the rest stood with zero graph work)
-    std::size_t repair_fallbacks = 0;   ///< stale tentative accepts with no usable
-                                        ///< certificate -> full exact query
-    std::size_t certs_published = 0;    ///< phase-A certificates recorded
-    std::size_t cert_ball_aborts = 0;   ///< certificate balls that blew the cap
-                                        ///< (expander-like neighborhoods)
-    std::size_t certs_two_sided = 0;    ///< stale tentative accepts resolved by the
-                                        ///< two-sided combine (forward + backward
-                                        ///< frontier certificates whose radii sum
-                                        ///< past the threshold) -- candidates that
-                                        ///< were repair_fallbacks before two-sided
-                                        ///< frontier publishing
+    // Always zero: the speculative accept path that counted these is
+    // gone. The fields remain only because the end-to-end benchmark
+    // (perfbench/workloads.cpp) still reads them; they leave together
+    // with its per-layer metrics.
+    std::size_t repairs = 0;
+    std::size_t repair_reprobes = 0;
+    std::size_t repair_fallbacks = 0;
+    std::size_t certs_published = 0;
+    std::size_t cert_ball_aborts = 0;
 
     // Group-probe counters (zero unless group_probing resolved to kOn).
     // All three are per-group facts of deterministic probes, so they are

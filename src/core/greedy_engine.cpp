@@ -1,7 +1,6 @@
 #include "core/greedy_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -55,27 +54,12 @@ constexpr double kCellRejectRadiusFactor = 1.3;
 /// vertex, so a consult reads four lines for its two rows.
 constexpr std::size_t kLandmarkCount = 16;
 
-/// Queries run directly on the growing Graph (csr_snapshot off). The
-/// adapter still keeps the insertion log phase-B repair iterates (the
-/// live graph is always fresh, so repair works on either adapter).
+/// Queries run directly on the growing Graph (csr_snapshot off).
 struct LiveAdapter {
     const Graph* h = nullptr;
-    std::vector<LoggedInsert> log;
-    bool log_inserts = false;
     void snapshot(const Graph& g) { h = &g; }
-    void add_edge(VertexId a, VertexId b, Weight w, EdgeId) {
-        if (log_inserts) log.push_back(LoggedInsert{a, b, w});
-    }
+    static void add_edge(VertexId, VertexId, Weight, EdgeId) {}
     [[nodiscard]] const Graph& view() const { return *h; }
-    void set_log_inserts(bool on) {
-        log_inserts = on;
-        if (!on) log.clear();
-    }
-    void clear_insert_log() { log.clear(); }
-    [[nodiscard]] std::size_t insert_log_size() const { return log.size(); }
-    [[nodiscard]] std::span<const LoggedInsert> inserts_since(std::size_t mark) const {
-        return {log.data() + mark, log.size() - mark};
-    }
     [[nodiscard]] static std::size_t rebuilds() { return 0; }
     [[nodiscard]] static std::size_t compactions() { return 0; }
 };
@@ -83,19 +67,13 @@ struct LiveAdapter {
 /// Queries run on the gap-buffered incremental CSR mirror (csr_snapshot
 /// on): contiguous per-vertex scans, kept exact at O(degree) per insertion
 /// -- "snapshots" after the first build are free no-ops, so stage-2
-/// certificates never pay a refreeze and accept-heavy batches cost no
-/// O(n + m) rebuilds.
+/// facts never pay a refreeze and accept-heavy batches cost no O(n + m)
+/// rebuilds.
 struct IncrementalAdapter {
     IncrementalCsrView v;
     void snapshot(const Graph& g) { v.refresh(g); }
     void add_edge(VertexId a, VertexId b, Weight w, EdgeId id) { v.add_edge(a, b, w, id); }
     [[nodiscard]] const IncrementalCsrView& view() const { return v; }
-    void set_log_inserts(bool on) { v.set_log_inserts(on); }
-    void clear_insert_log() { v.clear_insert_log(); }
-    [[nodiscard]] std::size_t insert_log_size() const { return v.insert_log_size(); }
-    [[nodiscard]] std::span<const LoggedInsert> inserts_since(std::size_t mark) const {
-        return v.inserts_since(mark);
-    }
     [[nodiscard]] std::size_t rebuilds() const { return v.rebuilds(); }
     [[nodiscard]] std::size_t compactions() const { return v.compactions(); }
 };
@@ -229,20 +207,7 @@ void GreedyEngine::init() {
     if (!(options_.stretch >= 1.0)) {
         throw std::invalid_argument("GreedyEngine: stretch must be >= 1");
     }
-    if (!(options_.bucket_ratio > 1.0)) {
-        throw std::invalid_argument("GreedyEngine: bucket_ratio must be > 1");
-    }
-    if (options_.parallel_batch == 0) {
-        throw std::invalid_argument("GreedyEngine: parallel_batch must be >= 1");
-    }
-    if (options_.sketch_ways == 0 ||
-        (options_.sketch_ways & (options_.sketch_ways - 1)) != 0) {
-        throw std::invalid_argument(
-            "GreedyEngine: sketch_ways must be a power of two >= 1");
-    }
-    if (options_.chunk_soft_cap == 0) {
-        throw std::invalid_argument("GreedyEngine: chunk_soft_cap must be >= 1");
-    }
+    options_.validate();
     workers_ = options_.parallel_prefilter
                    ? ThreadPool::resolve_workers(options_.num_threads)
                    : 1;
@@ -318,11 +283,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     PrefilterStage& prefilter_stage = res.prefilter_stage_;
     SourceGroups& groups = res.groups_;
     BoundSketch& sketch = res.sketch_;
-    // gsp-lint: allow(gsp-epoch-guarded) EngineResources::certs_ member,
-    CertificateStore& certs = res.certs_;  // not BoundSketch's tagged field
     LandmarkTable& landmarks = res.landmarks_;
-    std::vector<RepairSeed>& repair_seeds = res.repair_seeds_;
-    std::vector<RepairSeed>& repair_seeds_b = res.repair_seeds_b_;
     std::vector<Weight>& bound = res.bound_;
     std::vector<std::uint64_t>& far_mark = res.far_mark_;
     std::vector<std::uint64_t>& ball_bucket = res.ball_bucket_;
@@ -377,22 +338,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     landmark_rule.live = use_sketch;
     const auto probe_work = [&] { return ws.total_work() + ws_pool.total_work(); };
     std::size_t bucket_work_mark = probe_work();
-    // The speculative accept path needs stage 2 (its phase A) to record
-    // certificates; serial runs have nothing to repair.
-    const bool repair = parallel && options_.speculative_repair;
-    if (repair) certs.reset(n_, options_.repair_cert_cap);
-    // The insertion log is the phase-B repair feed; runs that never
-    // repair must not pay for it.
-    adapter.set_log_inserts(repair);
-    // Batch widths follow the predicted accept rate when repair is on
-    // (accept-heavy batches shrink so certificates stay shallowly stale);
-    // the PR-2 fixed width otherwise.
-    const BatchPlanner planner(options_.parallel_batch, options_.parallel_target_accepts);
-    // Certificate-mode economics: sticky off once a certificate-mode
-    // batch aborts more balls than it publishes (expander-like
-    // neighborhoods, where the certificates can never pay). A pure
-    // function of the greedy decisions -- identical at every thread count.
-    bool cert_mode_live = true;
 
     PrefilterGateState gate;
     const bool have_serial_pf = static_cast<bool>(options_.prefilter);
@@ -416,7 +361,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     // candidate whose bound was never harvested: unsound). Serial runs
     // have one batch per bucket, so this degenerates to the PR-1 rule.
     std::uint64_t batch_seq = 0;
-    // Stage-2 accept-rate gate state: optimistic start (the first batch is
+    // Accept-rate gate state: optimistic start (the first batch is
     // prefiltered; probes on a near-empty spanner are near-free).
     double last_accept_rate = 0.0;
 
@@ -424,8 +369,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     // the sketch strictly between batches' fan-outs). Accept paths record
     // nothing here: the insertion that follows bumps the epoch and writes
     // the now-exact pair distance, which would overwrite any far record
-    // one statement later. (record_far stays in the sketch API for the
-    // ROADMAP's incremental certificate repair, where far facts survive.)
+    // one statement later.
     const auto sk_pair_exact = [&](VertexId a, VertexId b, Weight d) {
         if (!use_sketch) return;
         sketch.record_exact(a, b, d, insert_epoch);
@@ -497,8 +441,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         // the handoff counter must be a pure function of this run.
         const std::size_t handoff_bytes =
             (track_bounds ? bound.size() * sizeof(Weight) : 0) +
-            (parallel ? prefilter_stage.verdict_bytes() : 0) +
-            (repair ? certs.bytes() : 0);
+            (parallel ? prefilter_stage.verdict_bytes() : 0);
         stats.handoff_peak_bytes = std::max(stats.handoff_peak_bytes, handoff_bytes);
 
         const auto cand_at = [&](std::uint32_t local) -> const GreedyCandidate& {
@@ -513,35 +456,24 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         // are bucket-local, like every other index from here on.
         std::size_t batch_begin = 0;
         while (batch_begin < lbucket.end) {
-        const std::size_t batch_width =
-            repair ? planner.next_width(last_accept_rate) : options_.parallel_batch;
         const std::size_t batch_end =
-            parallel ? std::min(batch_begin + batch_width, lbucket.end) : lbucket.end;
+            parallel ? std::min(batch_begin + options_.parallel_batch, lbucket.end)
+                     : lbucket.end;
         const CandidateBucket batch{batch_begin, batch_end, bucket.lo, bucket.hi};
         ++batch_seq;
 
-        // Whether (and how) stage 2 runs is keyed on the previous batch's
-        // accept rate, and never during the prefilter gate's calibration
-        // window (calibration times the *serial* economics; stage-2 probes
-        // would hollow out the exact decisions it measures and
-        // double-consult the oracle). Without repair, accept-predicted
-        // batches skip stage 2 entirely -- their certificates would die on
-        // the first insertion. With repair, they run it in *certificate
-        // mode* instead: every group grows a drained snapshot ball whose
-        // settled frontier phase B can repair through later insertions.
-        // Both decisions are pure functions of the greedy decisions, hence
+        // Whether stage 2 runs is keyed on the previous batch's accept
+        // rate, and never during the prefilter gate's calibration window
+        // (calibration times the *serial* economics; stage-2 probes would
+        // hollow out the exact decisions it measures and double-consult
+        // the oracle). Accept-predicted batches skip stage 2 entirely:
+        // their snapshot facts would die on the first insertion. The
+        // decision is a pure function of the greedy decisions, hence
         // identical at every thread count. The incremental view is exact
         // right now either way -- there is no refreeze to pay, only the
         // probe work itself to gate.
-        const bool accept_predicted = last_accept_rate > options_.parallel_accept_gate;
-        // Certificates ride on source-group balls, so without ball
-        // sharing there is nothing to publish -- accept-predicted batches
-        // then skip stage 2 outright (the PR-2 rule) instead of burning
-        // probes whose facts die on the first insertion.
-        const bool certificate_mode =
-            repair && sharing && accept_predicted && cert_mode_live;
-        const bool run_stage2 =
-            parallel && !gate.calibrating && (!accept_predicted || certificate_mode);
+        const bool run_stage2 = parallel && !gate.calibrating &&
+                                last_accept_rate <= options_.parallel_accept_gate;
         // Stage 2 consults the landmark table for every candidate of the
         // batch, and the table only changes at bucket boundaries: a
         // serial consult after it could never reject anything new.
@@ -559,11 +491,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     : options_.ball_share_min_group;
         const std::uint64_t snapshot_epoch = insert_epoch;
         const std::size_t batch_accepts_before = stats.edges_added;
-        // Truncate the repair feed at the snapshot boundary: entries from
-        // earlier batches are never read again (marks are per batch), so
-        // the log stays O(accepts per batch). The mark is then always 0.
-        if (repair) adapter.clear_insert_log();
-        const std::size_t batch_log_mark = 0;
 
         // --- Stage 2: parallel reject-only prefilter over the batch-start
         // view. Everything it records is sound regardless of what stage 3
@@ -586,20 +513,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             ctx.oracle = (have_concurrent_pf && gate.live && !gate.calibrating)
                              ? &options_.concurrent_prefilter
                              : nullptr;
-            ctx.certificates = (repair && sharing) ? &certs : nullptr;
-            ctx.certificate_mode = certificate_mode;
-            ctx.cert_ball_fallback_work = options_.repair_ball_fallback_work;
-            ctx.point_cost_hint = point_cost;
-            ctx.cert_ball_cap = options_.repair_cert_cap;
-            const std::size_t published_before = stats.certs_published;
-            const std::size_t aborts_before = stats.cert_ball_aborts;
             prefilter_stage.run_batch(*pool_, ws_pool, adapter.view(), ctx, bound,
                                       ball_bucket, ball_epoch, ball_radius, stats);
-            if (ctx.certificate_mode &&
-                stats.cert_ball_aborts - aborts_before >
-                    stats.certs_published - published_before) {
-                cert_mode_live = false;
-            }
         }
 
         // --- Stage 3: the serialized insertion loop re-walks the batch in
@@ -654,7 +569,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             };
 
             bool accept = false;
-            bool decided = false;
             if (track_bounds && bound[li] <= threshold) {
                 // A realizable witness path no heavier than the threshold
                 // is already known (harvested serially or by stage 2); the
@@ -710,146 +624,15 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     continue;
                 }
             }
-            if (parallel && prefilter_stage.far_at_snapshot(i)) {
-                if (insert_epoch == snapshot_epoch) {
-                    // The stage-2 probe was exact on the batch-start view
-                    // and nothing has been inserted since: the certificate
-                    // stands.
-                    ++stats.snapshot_accepts;
-                    accept = true;
-                    decided = true;
-                } else if (repair &&
-                           certs.load(anchor, batch_seq, snapshot_epoch, threshold)) {
-                    // Phase B: certificate repair. The certificate proved
-                    // d(u, v) > threshold on the batch-start snapshot via a
-                    // drained ball, so any <= threshold path in the current
-                    // spanner must *enter* an edge inserted since -- and the
-                    // snapshot-only prefix up to that first inserted edge
-                    // must end inside the certified ball. Seed a bounded
-                    // probe at each inserted endpoint with (certified
-                    // snapshot distance + edge weight): every seed is a
-                    // realizable current path length (never too low), and
-                    // the first-inserted-edge decomposition of any shortest
-                    // improving path is dominated by some seed (never too
-                    // high), so the probe re-decides the candidate exactly.
-                    // No seeds at all means no insertion can have touched
-                    // the ball: the certificate stands with zero graph work.
-                    repair_seeds.clear();
-                    for (const LoggedInsert& e : adapter.inserts_since(batch_log_mark)) {
-                        const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
-                        if (via_u <= threshold) repair_seeds.push_back({e.v, via_u});
-                        const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
-                        if (via_v <= threshold) repair_seeds.push_back({e.u, via_v});
-                    }
-                    ++stats.repairs;
-                    if (repair_seeds.empty()) {
-                        accept = true;
-                    } else {
-                        ++stats.repair_reprobes;
-                        ++stats.dijkstra_runs;
-                        const Weight d = ws.distance_seeded(adapter.view(), repair_seeds,
-                                                            target, threshold);
-                        // d is the exact current distance when it beats the
-                        // threshold (the snapshot side already exceeded it).
-                        accept = d > threshold;
-                        if (!accept) sk_pair_exact(c.u, c.v, d);
-                    }
-                    decided = true;
-                } else if (repair &&
-                           certs.load(target, batch_seq, snapshot_epoch, threshold)) {
-                    // Mirror image: the *target's* certificate covers the
-                    // threshold (published when the target anchored another
-                    // group of the batch). Distances are symmetric, so the
-                    // same first-inserted-edge decomposition applies with
-                    // the roles swapped: seed at the certified snapshot
-                    // distances from the target and probe toward the anchor.
-                    repair_seeds.clear();
-                    for (const LoggedInsert& e : adapter.inserts_since(batch_log_mark)) {
-                        const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
-                        if (via_u <= threshold) repair_seeds.push_back({e.v, via_u});
-                        const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
-                        if (via_v <= threshold) repair_seeds.push_back({e.u, via_v});
-                    }
-                    ++stats.repairs;
-                    if (repair_seeds.empty()) {
-                        accept = true;
-                    } else {
-                        ++stats.repair_reprobes;
-                        ++stats.dijkstra_runs;
-                        const Weight d = ws.distance_seeded(adapter.view(), repair_seeds,
-                                                            anchor, threshold);
-                        accept = d > threshold;
-                        if (!accept) sk_pair_exact(c.u, c.v, d);
-                    }
-                    decided = true;
-                } else if (repair) {
-                    const Weight rf =
-                        certs.published_radius(anchor, batch_seq, snapshot_epoch);
-                    const Weight rb =
-                        certs.published_radius(target, batch_seq, snapshot_epoch);
-                    if (rf >= 0.0 && rb >= 0.0 &&
-                        threshold <= std::nextafter(rf + rb, 0.0)) {
-                        // Two-sided combine: neither frontier alone covers
-                        // the threshold, but together they do (strictly --
-                        // the one-ulp guard makes the float sum safe). Any
-                        // current improving path either *enters* its first
-                        // inserted edge within rf of the anchor (the
-                        // forward-seeded probe re-measures it) or *exits*
-                        // its last inserted edge within rb of the target
-                        // (the backward-seeded probe does) -- otherwise its
-                        // pure-snapshot prefix and suffix alone sum past
-                        // rf + rb > threshold. Each probe result is a
-                        // realizable current path length, so the min
-                        // re-decides the candidate exactly; two empty seed
-                        // sets mean no insertion touched either frontier
-                        // and the certificate stands with zero graph work.
-                        repair_seeds.clear();
-                        certs.load(anchor, batch_seq, snapshot_epoch, 0.0);
-                        for (const LoggedInsert& e :
-                             adapter.inserts_since(batch_log_mark)) {
-                            const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
-                            if (via_u <= threshold) repair_seeds.push_back({e.v, via_u});
-                            const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
-                            if (via_v <= threshold) repair_seeds.push_back({e.u, via_v});
-                        }
-                        repair_seeds_b.clear();
-                        certs.load(target, batch_seq, snapshot_epoch, 0.0);
-                        for (const LoggedInsert& e :
-                             adapter.inserts_since(batch_log_mark)) {
-                            const Weight via_u = certs.snapshot_distance(e.u) + e.weight;
-                            if (via_u <= threshold) repair_seeds_b.push_back({e.v, via_u});
-                            const Weight via_v = certs.snapshot_distance(e.v) + e.weight;
-                            if (via_v <= threshold) repair_seeds_b.push_back({e.u, via_v});
-                        }
-                        ++stats.repairs;
-                        ++stats.certs_two_sided;
-                        Weight d = kInfiniteWeight;
-                        if (!repair_seeds.empty() || !repair_seeds_b.empty()) {
-                            ++stats.repair_reprobes;
-                            if (!repair_seeds.empty()) {
-                                ++stats.dijkstra_runs;
-                                d = ws.distance_seeded(adapter.view(), repair_seeds,
-                                                       target, threshold);
-                            }
-                            if (!repair_seeds_b.empty()) {
-                                ++stats.dijkstra_runs;
-                                d = std::min(
-                                    d, ws.distance_seeded(adapter.view(), repair_seeds_b,
-                                                          anchor, threshold));
-                            }
-                        }
-                        accept = d > threshold;
-                        if (!accept) sk_pair_exact(c.u, c.v, d);
-                        decided = true;
-                    } else {
-                        // Tentative accept with no usable certificate (point
-                        // probe, sketch-decided, or over-cap frontier): the
-                        // exact machinery below re-decides it.
-                        ++stats.repair_fallbacks;
-                    }
-                }
-            }
-            if (decided) {
+            if (parallel && insert_epoch == snapshot_epoch &&
+                prefilter_stage.far_at_snapshot(i)) {
+                // The stage-2 probe was exact on the batch-start view and
+                // nothing has been inserted since: the certificate stands.
+                // Once an insertion stales it, the candidate is only a
+                // tentative accept and falls through to the exact
+                // machinery below.
+                ++stats.snapshot_accepts;
+                accept = true;
             } else if (group_probe && far_mark[li] == insert_epoch) {
                 // A group probe certified this member far on the current
                 // view and nothing was inserted since: d(u, v) > threshold
@@ -1227,32 +1010,5 @@ std::vector<GreedyCandidate> sorted_graph_candidates(const Graph& g) {
     append_sorted_graph_candidates(g, cands);
     return cands;
 }
-
-#ifndef GSP_NO_DEPRECATED
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-Graph greedy_spanner_with(const Graph& g, const GreedyEngineOptions& options,
-                          GreedyStats* stats) {
-    // Zero the out-param before any work: a throw below must not leave a
-    // previous run's counters behind (the additive-stats footgun).
-    if (stats != nullptr) *stats = GreedyStats{};
-    const Timer timer;  // include the candidate sort, as the naive kernel did
-    // Resolve kAuto the way the session front door's GraphCandidateSource
-    // does, so wrapper and session builds stay bit-identical, stats
-    // included (the old-vs-new equivalence contract).
-    GreedyEngineOptions resolved = options;
-    if (resolved.group_probing == EngineTuning::GroupProbing::kAuto) {
-        resolved.group_probing = EngineTuning::GroupProbing::kOn;
-    }
-    GreedyEngine engine(g.num_vertices(), resolved);
-    const auto candidates = sorted_graph_candidates(g);
-    GreedyStats local;
-    Graph h = engine.run(Graph(g.num_vertices()), candidates, &local);
-    local.seconds = timer.seconds();
-    if (stats != nullptr) *stats = local;
-    return h;
-}
-#pragma GCC diagnostic pop
-#endif  // GSP_NO_DEPRECATED
 
 }  // namespace gsp

@@ -10,33 +10,29 @@
 // explicit three-phase pipeline per weight bucket (batched when parallel):
 //
 //   [1] candidate stream   (core/candidate_stream) -- materialize the
-//       bucket [w, bucket_ratio * w), group its candidates by source
-//       (bucket-local indices), and plan batch widths from the predicted
-//       accept rate (BatchPlanner);
-//   [2] speculative probe  (core/prefilter_stage)  -- fan the groups out to
-//       a work-stealing worker pool; each worker owns a DijkstraWorkspace
-//       and runs exact probes against the batch-start incremental CSR
-//       view, recording sound per-candidate facts in a thin handoff
-//       (packed verdict bitsets + a bucket-local bound slot per
-//       candidate): permanent witness-bound rejects, and epoch-tagged
-//       "far at snapshot" distance certificates. In accept-predicted
-//       batches the probes are drained certificate balls whose settled
-//       frontiers are published to the CertificateStore -- the phase-A
-//       half of the speculative accept path;
-//   [3] repair sweep       -- the serialized insertion loop re-walks the
-//       batch in deterministic tie order and consumes the recorded facts.
-//       A "far" certificate whose epoch is still current accepts
-//       outright; one staled by insertions is *repaired* (phase B): only
-//       paths entering an edge inserted since the snapshot can have
-//       invalidated it, so a bounded probe seeded from those edges'
-//       endpoints (at their certified snapshot distances) re-decides the
-//       candidate exactly, falling back to the full exact query only when
-//       no usable certificate exists.
+//       bucket [w, bucket_ratio * w) and group its candidates by source
+//       (bucket-local indices); when stage 2 is active the bucket is
+//       consumed in batches of `parallel_batch` candidates;
+//   [2] reject-only prefilter (core/prefilter_stage) -- fan the groups out
+//       to a work-stealing worker pool; each worker owns a
+//       DijkstraWorkspace and runs exact probes against the batch-start
+//       incremental CSR view, recording sound per-candidate facts in a
+//       thin handoff (packed verdict bitsets + a bucket-local bound slot
+//       per candidate): permanent witness-bound rejects, and "far at
+//       snapshot" bits. Batches the previous batch's accept rate predicts
+//       to be accept-heavy skip this stage: their snapshot facts would
+//       die on the first insertion;
+//   [3] insertion loop     -- the serialized loop re-walks the batch in
+//       deterministic tie order and consumes the recorded facts. A bound
+//       within the threshold rejects outright; a "far" bit accepts
+//       outright while no edge has been inserted since the snapshot. A
+//       far bit staled by an insertion is only a tentative accept: the
+//       candidate falls through to the exact machinery, which re-decides
+//       it on the current spanner.
 //
-// Because stage-2 facts are sound upper bounds / exact snapshot distances,
-// certificate repair is exact (see the repair block in run_impl), and
-// stage 3 re-verifies every surviving accept, the edge set is
-// bit-identical to the naive kernel at every thread count.
+// Because stage-2 facts are sound upper bounds / exact snapshot distances
+// and every stale accept is re-verified, the edge set is bit-identical to
+// the naive kernel at every thread count.
 //
 // The serial kernel's stacked optimisations (bidirectional, ball_sharing,
 // csr_snapshot, bound_sketch with its landmark table -- see
@@ -45,7 +41,7 @@
 // preserving*: every configuration returns the same edge set.
 //
 // Resource model: the thread pool, the per-worker workspace pool, and the
-// sketch/certificate arenas are the expensive part of an engine. They live
+// sketch and landmark arenas are the expensive part of an engine. They live
 // in an EngineResources, which a GreedyEngine either owns privately (the
 // one-shot entry points) or borrows from a SpannerSession (src/api/session)
 // that keeps them warm across many build() calls -- the request-serving
@@ -118,7 +114,7 @@ struct GreedyEngineOptions : EngineTuning {
 
 /// The heavy, reusable half of a greedy engine: thread pools (cached per
 /// worker count), the serial-loop Dijkstra workspace, the per-worker
-/// workspace pool, the sketch/certificate arenas, and every per-run
+/// workspace pool, the sketch and landmark arenas, and every per-run
 /// scratch vector. Construction counters certify the warm path: a
 /// SpannerSession owns one EngineResources across builds, and repeat
 /// builds construct zero pools and zero workspaces.
@@ -158,12 +154,8 @@ private:
     PrefilterStage prefilter_stage_;   ///< stage-2 verdict bitsets + counters
     SourceGroups groups_;              ///< stage-1 per-bucket grouping
     BoundSketch sketch_;               ///< cross-bucket bound persistence
-    CertificateStore certs_;           ///< phase-A certificates for phase-B repair
     LandmarkTable landmarks_;          ///< landmark-tree upper bounds (with the sketch)
     PrefilterKernel prefilter_kernel_; ///< serial-loop group-probe marshalling scratch
-    std::vector<RepairSeed> repair_seeds_;    ///< phase-B scratch (forward seeds)
-    std::vector<RepairSeed> repair_seeds_b_;  ///< phase-B scratch (backward seeds of the
-                                              ///< two-sided combine)
 
     // Ball-sharing / prefilter scratch, reused across runs. Groups are
     // cleared lazily so a bucket costs O(its candidates), not O(n).
@@ -237,15 +229,5 @@ private:
 /// per-build allocation on the warm path); the value form allocates.
 void append_sorted_graph_candidates(const Graph& g, std::vector<GreedyCandidate>& out);
 std::vector<GreedyCandidate> sorted_graph_candidates(const Graph& g);
-
-#ifndef GSP_NO_DEPRECATED
-/// greedy_spanner with explicit engine configuration. Legacy front door:
-/// prefer a SpannerSession + BuildOptions (src/api/session.hpp), which
-/// reuses the pools and workspaces this wrapper reconstructs per call.
-/// `*stats` is zeroed before delegating.
-[[deprecated("use SpannerSession::build with BuildOptions (src/api/session.hpp)")]]
-Graph greedy_spanner_with(const Graph& g, const GreedyEngineOptions& options,
-                          GreedyStats* stats = nullptr);
-#endif
 
 }  // namespace gsp

@@ -21,7 +21,6 @@
 // session over it.
 #pragma once
 
-#include "core/engine_tuning.hpp"
 #include "core/greedy.hpp"
 #include "graph/graph.hpp"
 #include "metric/metric_space.hpp"
@@ -35,28 +34,5 @@ namespace gsp {
 /// zeroed before any work.
 Graph greedy_spanner_metric(const MetricSpace& m, double t,
                             GreedyStats* stats = nullptr);
-
-#ifndef GSP_NO_DEPRECATED
-/// Legacy option struct. The engine knobs it used to re-declare
-/// (num_threads, speculative_repair, sketch_ways) live in the embedded
-/// shared `engine` block now -- which also gives the metric path the
-/// bound_sketch on/off toggle it historically lacked.
-struct MetricGreedyOptions {
-    double stretch = 2.0;
-    /// Run the full GreedyEngine. Identical output, faster. Off = the
-    /// naive reference kernel (overrides the engine block with
-    /// EngineTuning::naive()).
-    bool use_distance_cache = true;
-    EngineTuning engine;  ///< the shared engine block
-};
-
-/// Legacy front door: prefer SpannerSession::build over a
-/// MetricCandidateSource (or the "greedy-metric" registry entry), which
-/// reuses pools and workspaces across builds. `*stats` is zeroed before
-/// delegating.
-[[deprecated("use SpannerSession::build with BuildOptions (src/api/session.hpp)")]]
-Graph greedy_spanner_metric(const MetricSpace& m, const MetricGreedyOptions& options,
-                            GreedyStats* stats = nullptr);
-#endif  // GSP_NO_DEPRECATED
 
 }  // namespace gsp

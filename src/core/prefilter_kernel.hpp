@@ -18,8 +18,8 @@
 //     (stage 3 treats it as "far at snapshot": accept-on-certificate only
 //     while nothing was inserted since, re-verify otherwise);
 //   * the settled list is exact and complete out to certified_radius
-//     (absence certifies distance > radius) -- what makes the frontier
-//     publishable as a phase-A repair certificate.
+//     (absence certifies distance > radius) -- what lets the insertion
+//     loop revalidate far members against the published ball slot.
 // Verdicts must be pure functions of (view, source, targets, radii):
 // the stage's determinism argument (schedule-independent edge sets and
 // decision stats) rests on it. Nothing in the contract requires a

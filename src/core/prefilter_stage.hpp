@@ -99,38 +99,6 @@ struct PrefilterContext {
     /// Optional concurrent reject-only oracle (worker, u, v, threshold);
     /// null when unset or gated off.
     const std::function<bool(std::size_t, VertexId, VertexId, Weight)>* oracle = nullptr;
-    /// Certificate store of the speculative accept path (null = repair
-    /// off). Every drained snapshot ball publishes its settled frontier
-    /// here -- the exact snapshot-distance function phase-B repair seeds
-    /// from. Writes are race-free: each source belongs to exactly one
-    /// group, and groups are task-owned.
-    CertificateStore* certificates = nullptr;
-    /// Accept-heavy prediction for this batch: attempt a drained
-    /// certificate ball for *every* group (point probes prove "far"
-    /// cheaper, but leave nothing to repair when the certificate goes
-    /// stale -- and in an accept-heavy batch it will). A deterministic,
-    /// schedule-free decision.
-    bool certificate_mode = false;
-    /// Work budget (heap pushes) of a certificate-mode ball attempt when
-    /// the serial cost model has not calibrated yet. On bounded-growth
-    /// instances (the accept-heavy regime that matters) the drained ball
-    /// stays far below any budget; on expander-like instances it blows
-    /// through, the attempt aborts at bounded cost, and the group falls
-    /// back to the non-certificate rules. Aborts are pure functions of
-    /// the snapshot, so decisions stay schedule-independent; the engine
-    /// watches the abort/publish ratio and turns certificate mode off for
-    /// the run when aborts dominate.
-    std::size_t cert_ball_fallback_work = 8192;
-    /// Measured heap pushes of one serial point query (the engine's
-    /// exponential moving average; 0 = not yet calibrated). When present,
-    /// a group's certificate ball may spend the work of a few point
-    /// queries per undecided candidate -- phase A work is parallel, and
-    /// every certificate it buys removes a *serial* exact query from
-    /// phase B.
-    double point_cost_hint = 0.0;
-    /// Hard cap on a certificate frontier's settled count (the publish
-    /// cap; bigger frontiers could never be stored anyway).
-    std::size_t cert_ball_cap = 4096;
 };
 
 /// Owns the packed verdict bitsets and per-worker counters. One instance
@@ -138,12 +106,11 @@ struct PrefilterContext {
 class PrefilterStage {
 public:
     /// Reset the per-worker counters for a run. The kernel gather scratch
-    /// and pending-certificate buffers are sized here but never shrunk --
-    /// resize, not assign, keeps a warm session's capacities.
+    /// is sized here but never shrunk -- resize, not assign, keeps a warm
+    /// session's capacities.
     GSP_SERIAL_ONLY void begin_run(std::size_t workers) {
         counters_.assign(workers, WorkerCounters{});
         if (kernels_.size() < workers) kernels_.resize(workers);
-        if (pending_.size() < workers) pending_.resize(workers);
     }
 
     /// Size and zero the verdict bitsets for one bucket (bucket-local bit
@@ -197,8 +164,6 @@ private:
         std::size_t dijkstra_runs = 0;
         std::size_t balls_computed = 0;
         std::size_t sketch_hits = 0;
-        std::size_t certs_published = 0;
-        std::size_t cert_aborts = 0;
         std::size_t cell_balls = 0;
         std::size_t cell_ball_decisions = 0;
         std::size_t coarse_rejects = 0;
@@ -206,18 +171,6 @@ private:
         std::size_t group_probes = 0;
         std::size_t group_probe_decisions = 0;
         std::size_t group_probe_early_exits = 0;
-    };
-
-    /// A backward frontier certificate waiting for the serial flush: it
-    /// keys on a probe's *target* vertex, which another task may own, so
-    /// workers buffer instead of publishing. Flush order is
-    /// worker-then-probe order, but the flushed radii are pure functions
-    /// of the batch and CertificateStore::publish keeps the larger
-    /// same-scope radius -- the final store state is order-independent.
-    struct PendingCert {
-        VertexId source = kNoVertex;
-        Weight radius = 0.0;
-        std::vector<std::pair<VertexId, Weight>> settled;
     };
 
     /// Set a bucket-local verdict bit. Words are shared across tasks, so
@@ -289,12 +242,7 @@ private:
                 return true;
             }
         }
-        // In certificate mode the epoch-tagged shortcut is a bad trade:
-        // the batch is predicted to insert, which will stale the sketch
-        // fact and force a full-query fallback -- where the ball the
-        // shortcut skipped would have left a repairable certificate.
-        if (!ctx.certificate_mode &&
-            ctx.sketch->lower_bound_at(c.u, c.v, ctx.snapshot_epoch) > threshold) {
+        if (ctx.sketch->lower_bound_at(c.u, c.v, ctx.snapshot_epoch) > threshold) {
             set_bit(far_bits_, local);
             ++wc.sketch_hits;
             return true;
@@ -307,7 +255,6 @@ private:
     std::vector<std::uint64_t> far_bits_;    ///< probe exceeded threshold at snapshot
     std::vector<WorkerCounters> counters_;
     std::vector<PrefilterKernel> kernels_;   ///< per-worker gather scratch
-    std::vector<std::vector<PendingCert>> pending_;  ///< per-worker backward frontiers
 };
 
 template <class View>
@@ -337,26 +284,10 @@ GSP_SERIAL_ONLY void PrefilterStage::run_batch(
             }
         }
     });
-    // Serial flush of the worker-buffered backward frontiers (see
-    // PendingCert): after the join every task's writes are visible, and
-    // publishing here keeps the store's per-source slots single-writer.
-    if (ctx.certificates != nullptr) {
-        for (std::vector<PendingCert>& worker_pending : pending_) {
-            for (const PendingCert& p : worker_pending) {
-                // Counted at buffer time; keep-larger makes the resulting
-                // store state independent of this loop's order.
-                ctx.certificates->publish(p.source, ctx.ball_scope, ctx.snapshot_epoch,
-                                          p.radius, p.settled);
-            }
-            worker_pending.clear();
-        }
-    }
     for (WorkerCounters& wc : counters_) {
         stats.dijkstra_runs += wc.dijkstra_runs;
         stats.balls_computed += wc.balls_computed;
         stats.sketch_hits += wc.sketch_hits;
-        stats.certs_published += wc.certs_published;
-        stats.cert_ball_aborts += wc.cert_aborts;
         stats.cell_balls += wc.cell_balls;
         stats.cell_ball_decisions += wc.cell_ball_decisions;
         stats.coarse_rejects += wc.coarse_rejects;
@@ -406,12 +337,11 @@ GSP_HOT_PATH void PrefilterStage::process_group(
     // carries every undecided member's target and decision radius,
     // replacing the drained ball AND the per-member fall-through probes.
     // It terminates the moment the last member is decided, so it usually
-    // drains a fraction of the full-radius ball's area -- and its settled
-    // frontier is still publishable as a repair certificate, complete out
-    // to the probe's certified radius. A singleton group keeps the point
-    // probe below (meet-in-the-middle beats a one-sided traversal when
-    // there is nothing to amortize). The gate reads only task-owned state
-    // (sketch/oracle verdicts of this group), so it is schedule-free.
+    // drains a fraction of the full-radius ball's area. A singleton group
+    // keeps the point probe below (meet-in-the-middle beats a one-sided
+    // traversal when there is nothing to amortize). The gate reads only
+    // task-owned state (sketch/oracle verdicts of this group), so it is
+    // schedule-free.
     if (ctx.group_probe && undecided >= 2) {
         BatchedProbe& probe = ws.batched();
         const auto is_undecided = [&](std::uint32_t local) {
@@ -427,11 +357,6 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         ++wc.group_probes;
         wc.group_probe_decisions += outcome.probed;
         if (outcome.early_exit) ++wc.group_probe_early_exits;
-        if (ctx.certificates != nullptr &&
-            ctx.certificates->publish(source, ctx.ball_scope, ctx.snapshot_epoch,
-                                      outcome.certified_radius, probe.settled())) {
-            ++wc.certs_published;
-        }
         // The frontier doubles as a published ball for the insertion
         // loop's lazy revalidation, valid out to the certified radius.
         ball_bucket[source] = ctx.ball_scope;
@@ -443,10 +368,11 @@ GSP_HOT_PATH void PrefilterStage::process_group(
     // The radius that covers the group's largest threshold: one drained
     // ball at this radius answers every candidate of the group *exactly*
     // at the snapshot (settled => exact distance; unsettled => distance
-    // exceeds the radius), and its settled frontier is the phase-A
-    // certificate phase B repairs through.
+    // exceeds the radius).
     const Weight radius = ctx.stretch * cand_at(grp.back()).weight;
-    const auto harvest_ball = [&](std::span<const std::pair<VertexId, Weight>> settled) {
+    if (undecided >= ctx.ball_share_min_group) {
+        ws.ball(view, source, radius);
+        ++wc.dijkstra_runs;
         ++wc.balls_computed;
         if (ctx.anchored) ++wc.cell_balls;
         for (std::uint32_t local : grp) {
@@ -460,45 +386,11 @@ GSP_HOT_PATH void PrefilterStage::process_group(
             if (d > ctx.stretch * c.weight) set_bit(far_bits_, local);
             if (ctx.anchored) ++wc.cell_ball_decisions;
         }
-        if (ctx.certificates != nullptr &&
-            ctx.certificates->publish(source, ctx.ball_scope, ctx.snapshot_epoch, radius,
-                                      settled)) {
-            ++wc.certs_published;
-        }
         // Publish the ball for the insertion loop's lazy revalidation: it
         // stays exact until the first post-snapshot insertion.
         ball_bucket[source] = ctx.ball_scope;
         ball_epoch[source] = ctx.snapshot_epoch;
         ball_radius[source] = radius;
-    };
-
-    // Certificate mode: attempt the capped drained ball for every group
-    // (a point probe proves "far" cheaper, but leaves nothing for phase B
-    // to repair once the batch's insertions stale the certificate). An
-    // abort means the frontier blew past the cap -- an expander-like
-    // neighborhood where the certificate cannot pay -- and the group
-    // falls through to the non-certificate rules below.
-    if (ctx.certificate_mode) {
-        const std::size_t budget =
-            ctx.point_cost_hint > 0.0
-                ? static_cast<std::size_t>(
-                      ctx.point_cost_hint *
-                      (2.0 + 2.0 * static_cast<double>(undecided)))
-                : ctx.cert_ball_fallback_work;
-        ++wc.dijkstra_runs;
-        const auto* settled =
-            ws.ball_bounded(view, source, radius, budget, ctx.cert_ball_cap);
-        if (settled != nullptr) {
-            harvest_ball(*settled);
-            return;
-        }
-        ++wc.cert_aborts;
-    }
-
-    if (undecided >= ctx.ball_share_min_group) {
-        const auto& settled = ws.ball(view, source, radius);
-        ++wc.dijkstra_runs;
-        harvest_ball(settled);
         return;
     }
 
@@ -510,48 +402,13 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         const Weight threshold = ctx.stretch * c.weight;
         if (bounds[local] <= threshold) continue;  // harvested by an earlier probe
         ++wc.dijkstra_runs;
-        // With repair on, a bidirectional probe's two settled frontiers
-        // are certificates in their own right: each side is exact and
-        // complete out to its exit radius, and on a far probe the radii
-        // sum past the threshold -- the two-sided repair seeds that turn
-        // the accept-heavy path's repair_fallbacks into exact repairs.
-        const bool collect = ctx.certificates != nullptr && ctx.bidirectional;
         const Weight d = ctx.bidirectional
-                             ? ws.distance_bidirectional(view, source, other, threshold,
-                                                         collect)
+                             ? ws.distance_bidirectional(view, source, other, threshold)
                              : ws.distance(view, source, other, threshold);
         if (d <= threshold) {
             if (d < bounds[local]) bounds[local] = d;
         } else {
             set_bit(far_bits_, local);
-            if (collect) {
-                // The forward frontier keys on this task's own source:
-                // publish directly (keep-larger resolves repeat probes).
-                if (ctx.certificates->publish(source, ctx.ball_scope,
-                                              ctx.snapshot_epoch,
-                                              ws.forward_settled_radius(),
-                                              ws.settled_forward())) {
-                    ++wc.certs_published;
-                }
-                // The backward frontier keys on the target -- another
-                // task's slot: buffer for the post-join serial flush.
-                // Truncated to its certified radius the content is a pure
-                // function of (view, target, radius) -- the exact ball
-                // around the target -- so equal-radius flush ties are
-                // content-identical and the flushed store state is
-                // order-independent. Counted here (task-owned, hence
-                // schedule-free), not at flush time, where keep-larger
-                // success would depend on flush order.
-                const auto& bwd = ws.settled_backward();
-                const Weight rb = ws.backward_settled_radius();
-                const auto bwd_end = std::partition_point(
-                    bwd.begin(), bwd.end(),
-                    [rb](const std::pair<VertexId, Weight>& e) { return e.second <= rb; });
-                if (static_cast<std::size_t>(bwd_end - bwd.begin()) <= ctx.cert_ball_cap) {
-                    pending_[worker].push_back(PendingCert{other, rb, {bwd.begin(), bwd_end}});
-                    ++wc.certs_published;
-                }
-            }
         }
         // Forward labels are realizable path lengths from the shared
         // anchor; harvest them as bounds for the group's later candidates

@@ -61,8 +61,7 @@
 //    <= every limit used while the target was undecided).
 //
 // certified_radius() extends the same argument to *every* vertex: the
-// settled list is complete out to that radius (absent => farther), which
-// is exactly the certificate contract the speculative repair path needs.
+// settled list is complete out to that radius (absent => farther).
 // A batch-capable goal oracle evaluates every live target's lower bound
 // in one call.
 #pragma once

@@ -27,7 +27,6 @@ void DijkstraWorkspace::begin_query() {
     heap_.clear();
     heap_b_.clear();
     ball_.clear();
-    ball_b_.clear();
     total_work_ += last_work_;
     last_work_ = 0;
     // Pre-size to the historical peak so tight query loops never pay

@@ -2,8 +2,7 @@
 //
 // CsrOverlayView (csr_view.hpp) freezes the adjacency once per batch and
 // chains a per-vertex overlay: refreshing it is a full O(n + m) rebuild, so
-// the greedy engine could only afford one per batch, and stage-2 "far at
-// snapshot" certificates died whenever a batch inserted anything.
+// the greedy engine could only afford one per batch.
 // IncrementalCsrView removes that refreeze entirely: each vertex owns a
 // *gap-buffered run* inside one arena -- a contiguous slice with slack
 // capacity after its live entries -- so mirroring one inserted edge is an
@@ -32,13 +31,6 @@
 
 namespace gsp {
 
-/// One edge recorded by the view's insertion log (see `inserts_since`).
-struct LoggedInsert {
-    VertexId u = kNoVertex;
-    VertexId v = kNoVertex;
-    Weight weight = 0.0;
-};
-
 /// Gap-buffered CSR mirror of a growing Graph. Call `refresh(g)` at a sync
 /// point (full rebuild only if the mirror drifted -- a no-op on the hot
 /// path) and `add_edge` for every edge appended to g afterwards.
@@ -63,34 +55,6 @@ public:
 
     [[nodiscard]] std::span<const HalfEdge> neighbors(VertexId v) const {
         return {arena_.data() + start_[v], len_[v]};
-    }
-
-    // --- edges-since-epoch iteration (the phase-B repair feed) ---
-    /// Enable/disable the insertion log (off by default: consumers that
-    /// never repair should not pay a push_back per mirrored edge).
-    /// Disabling clears it.
-    void set_log_inserts(bool on) {
-        log_inserts_ = on;
-        if (!on) insert_log_.clear();
-    }
-
-    /// Drop all logged entries, keeping capacity (the engine truncates at
-    /// batch boundaries: entries before the current snapshot mark are
-    /// never read again, so the log stays O(accepts per batch)).
-    void clear_insert_log() { insert_log_.clear(); }
-
-    /// Monotone insertion-log position: every add_edge since the last
-    /// full rebuild (or clear) appends one entry while logging is on.
-    /// Capture it at a snapshot boundary and hand it back to
-    /// `inserts_since` to enumerate exactly the edges the snapshot has
-    /// not seen -- the only edges a stale distance certificate can have
-    /// been invalidated by.
-    [[nodiscard]] std::size_t insert_log_size() const { return insert_log_.size(); }
-
-    /// The edges mirrored since log position `mark` (<= insert_log_size()),
-    /// oldest first. Valid until the next add_edge/refresh.
-    [[nodiscard]] std::span<const LoggedInsert> inserts_since(std::size_t mark) const {
-        return {insert_log_.data() + mark, insert_log_.size() - mark};
     }
 
     // --- storage telemetry (the engine's csr_* stats) ---
@@ -121,9 +85,6 @@ private:
     std::vector<std::uint32_t> len_;    ///< vertex -> live entries in its run
     std::vector<std::uint32_t> cap_;    ///< vertex -> run capacity (len + gap)
     std::vector<HalfEdge> arena_;       ///< all runs, relocations append at the tail
-    std::vector<LoggedInsert> insert_log_;  ///< edges mirrored since the last
-                                            ///< rebuild/clear (when enabled)
-    bool log_inserts_ = false;
     std::size_t dead_ = 0;              ///< slots abandoned by relocations
     std::size_t live_half_edges_ = 0;
     std::size_t mirrored_edges_ = 0;    ///< edge count of the mirrored graph

@@ -4,7 +4,7 @@
 // Design constraints, in order:
 //  * the caller participates: worker 0 is the calling thread, so a pool of
 //    size 1 degenerates to an inline loop with zero synchronization;
-//  * load balance by *stealing*, not by a shared cursor: phase-A probe
+//  * load balance by *stealing*, not by a shared cursor: stage-2 probe
 //    tasks have wildly uneven costs (one source's ball can be 100x its
 //    neighbor's), and a single atomic cursor makes every claim a
 //    cross-core round trip. Each worker owns a contiguous task range

@@ -1,12 +1,9 @@
-// Old-vs-new API equivalence: every registry entry built through a
-// SpannerSession must be bit-identical to its legacy entry point
-// (property-tested across {graph, metric, euclidean} inputs and thread
-// counts {1, 2, 4, hardware}), and a session reused across heterogeneous
-// builds must match fresh sessions exactly -- edge sets *and* stats.
-//
-// The deprecated-wrapper comparisons compile only without
-// GSP_NO_DEPRECATED; the session-vs-convenience and session-vs-baseline
-// comparisons run in both configurations.
+// API equivalence: every registry entry built through a SpannerSession
+// must be bit-identical to its one-shot convenience entry point or
+// baseline construction (property-tested across {graph, metric,
+// euclidean} inputs and thread counts {1, 2, 4, hardware}), and a session
+// reused across heterogeneous builds must match fresh sessions exactly --
+// edge sets *and* stats.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
@@ -52,11 +49,6 @@ void expect_stats_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.prefilter_rejects, b.prefilter_rejects) << label;
     EXPECT_EQ(a.buckets, b.buckets) << label;
     EXPECT_EQ(a.snapshot_accepts, b.snapshot_accepts) << label;
-    EXPECT_EQ(a.repairs, b.repairs) << label;
-    EXPECT_EQ(a.repair_reprobes, b.repair_reprobes) << label;
-    EXPECT_EQ(a.repair_fallbacks, b.repair_fallbacks) << label;
-    EXPECT_EQ(a.certs_published, b.certs_published) << label;
-    EXPECT_EQ(a.cert_ball_aborts, b.cert_ball_aborts) << label;
     EXPECT_EQ(a.sketch_hits, b.sketch_hits) << label;
     EXPECT_EQ(a.sketch_accepts, b.sketch_accepts) << label;
     EXPECT_EQ(a.landmark_refreshes, b.landmark_refreshes) << label;
@@ -231,105 +223,6 @@ TEST(SessionReuseTest, ApproxThroughOneSessionMatchesFreshSessions) {
     EXPECT_EQ(a.exact_queries, c.exact_queries);
     EXPECT_EQ(a.light_edges, c.light_edges);
 }
-
-#ifndef GSP_NO_DEPRECATED
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(DeprecatedWrapperTest, GreedySpannerWithMatchesSession) {
-    Rng rng(13);
-    const Graph g = erdos_renyi(60, 0.25, {.lo = 0.5, .hi = 3.0}, rng);
-    for (const std::size_t threads : kThreadCounts) {
-        GreedyEngineOptions legacy_options;
-        legacy_options.stretch = 1.7;
-        legacy_options.num_threads = threads;
-        GreedyStats legacy_stats;
-        const Graph legacy = greedy_spanner_with(g, legacy_options, &legacy_stats);
-
-        SpannerSession session;
-        BuildOptions options;
-        options.stretch = 1.7;
-        options.engine.num_threads = threads;
-        GraphCandidateSource source(g);
-        BuildReport report;
-        const Graph h = session.build(source, options, &report);
-        EXPECT_TRUE(same_edge_set(h, legacy)) << "threads=" << threads;
-        expect_stats_equal(report.stats, legacy_stats,
-                           "threads=" + std::to_string(threads));
-    }
-}
-
-TEST(DeprecatedWrapperTest, MetricGreedyOptionsMatchesSessionIncludingNaiveMode) {
-    Rng rng(17);
-    const EuclideanMetric pts = uniform_points(40, 2, 40.0, rng);
-    for (const bool cached : {false, true}) {
-        MetricGreedyOptions legacy_options;
-        legacy_options.stretch = 1.3;
-        legacy_options.use_distance_cache = cached;
-        GreedyStats legacy_stats;
-        const Graph legacy = greedy_spanner_metric(pts, legacy_options, &legacy_stats);
-
-        SpannerSession session;
-        BuildOptions options;
-        options.stretch = 1.3;
-        if (!cached) options.engine = EngineTuning::naive();
-        MetricCandidateSource source(pts);
-        BuildReport report;
-        const Graph h = session.build(source, options, &report);
-        EXPECT_TRUE(same_edge_set(h, legacy)) << "cached=" << cached;
-        expect_stats_equal(report.stats, legacy_stats,
-                           cached ? "cached" : "naive");
-    }
-}
-
-TEST(DeprecatedWrapperTest, ApproxGreedyOptionsMatchesBuild) {
-    Rng rng(19);
-    const EuclideanMetric pts = uniform_points(130, 2, 70.0, rng);
-    ApproxGreedyOptions legacy_options;
-    legacy_options.epsilon = 0.5;
-    legacy_options.theta_cones_override = 12;
-    legacy_options.engine.num_threads = 2;
-    const ApproxGreedyResult legacy = approx_greedy_spanner(pts, legacy_options);
-
-    SpannerSession session;
-    BuildOptions options;
-    options.approx.epsilon = 0.5;
-    options.approx.theta_cones_override = 12;
-    options.engine.num_threads = 2;
-    const ApproxGreedyResult fresh = approx_greedy_build(session, pts, options);
-    EXPECT_TRUE(same_edge_set(legacy.spanner, fresh.spanner));
-    EXPECT_TRUE(same_edge_set(legacy.base, fresh.base));
-    EXPECT_EQ(legacy.light_edges, fresh.light_edges);
-    EXPECT_EQ(legacy.oracle_rejects, fresh.oracle_rejects);
-}
-
-TEST(DeprecatedWrapperTest, WrappersZeroTheirStatsOutParam) {
-    Rng rng(23);
-    const Graph g = erdos_renyi(30, 0.4, {.lo = 1.0, .hi = 2.0}, rng);
-    GreedyStats stats;
-    GreedyEngineOptions options;
-    options.stretch = 2.0;
-    (void)greedy_spanner_with(g, options, &stats);
-    ASSERT_GT(stats.edges_examined, 0u);
-    options.stretch = 0.2;  // invalid: the wrapper must zero, then throw
-    EXPECT_THROW((void)greedy_spanner_with(g, options, &stats), std::invalid_argument);
-    EXPECT_EQ(stats.edges_examined, 0u);
-
-    const EuclideanMetric pts = uniform_points(20, 2, 10.0, rng);
-    GreedyStats metric_stats;
-    MetricGreedyOptions metric_opts;
-    metric_opts.stretch = 1.5;
-    (void)greedy_spanner_metric(pts, metric_opts, &metric_stats);
-    ASSERT_GT(metric_stats.edges_examined, 0u);
-    MetricGreedyOptions bad_metric_opts;
-    bad_metric_opts.stretch = 0.1;
-    EXPECT_THROW((void)greedy_spanner_metric(pts, bad_metric_opts, &metric_stats),
-                 std::invalid_argument);
-    EXPECT_EQ(metric_stats.edges_examined, 0u);
-}
-
-#pragma GCC diagnostic pop
-#endif  // GSP_NO_DEPRECATED
 
 }  // namespace
 }  // namespace gsp

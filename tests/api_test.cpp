@@ -232,7 +232,7 @@ TEST(BuildReportTest, JsonCarriesTheWholeReport) {
          {"\"algorithm\": \"greedy\"", "\"source\": \"graph-edges\"", "\"vertices\"",
           "\"candidates\"", "\"edges\"", "\"weight\"", "\"max_degree\"", "\"seconds\"",
           "\"pools_constructed\"", "\"workspaces_constructed\"", "\"stats\"",
-          "\"edges_examined\"", "\"repairs\""}) {
+          "\"edges_examined\"", "\"snapshot_accepts\""}) {
         EXPECT_NE(json.find(key), std::string::npos) << key << " missing in " << json;
     }
     // Structurally balanced (the writer's brace discipline).

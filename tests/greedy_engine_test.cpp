@@ -41,9 +41,8 @@ std::string mask_name(unsigned mask) {
     return s.empty() ? "naive" : s;
 }
 
-/// Run a configured engine over a graph's sorted edge candidates -- the
-/// engine-layer equivalent of the deprecated greedy_spanner_with wrapper
-/// (this suite tests the engine itself, not the front doors).
+/// Run a configured engine over a graph's sorted edge candidates (this
+/// suite tests the engine itself, not the front doors).
 Graph run_with(const Graph& g, const GreedyEngineOptions& options,
                GreedyStats* stats = nullptr) {
     GreedyEngine engine(g.num_vertices(), options);
@@ -153,6 +152,17 @@ TEST(GreedyEngineTest, RejectsBadOptions) {
     GreedyEngineOptions bad_ratio;
     bad_ratio.bucket_ratio = 1.0;
     EXPECT_THROW(GreedyEngine(3, bad_ratio), std::invalid_argument);
+    // The engine runs the same EngineTuning::validate as BuildOptions: a
+    // NaN or negative accept gate is rejected here too.
+    GreedyEngineOptions nan_gate;
+    nan_gate.parallel_accept_gate = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(GreedyEngine(3, nan_gate), std::invalid_argument);
+    GreedyEngineOptions negative_gate;
+    negative_gate.parallel_accept_gate = -0.5;
+    EXPECT_THROW(GreedyEngine(3, negative_gate), std::invalid_argument);
+    GreedyEngineOptions bad_ways;
+    bad_ways.sketch_ways = 3;
+    EXPECT_THROW(GreedyEngine(3, bad_ways), std::invalid_argument);
 }
 
 TEST(GreedyEngineTest, PrefilterOnlyShortCircuitsNeverChangesOutput) {
@@ -200,29 +210,21 @@ TEST(ParallelEngineTest, EdgeSetMatchesNaiveAtEveryThreadCount) {
                 for (const bool sharing : {true, false}) {
                     for (const bool sketch : {true, false}) {
                         for (const double accept_gate : {0.25, 1.0}) {
-                            for (const bool repair : {true, false}) {
-                                GreedyEngineOptions options;
-                                options.stretch = 2.0;
-                                options.ball_sharing = sharing;
-                                options.bound_sketch = sketch;
-                                options.num_threads = threads;
-                                options.parallel_accept_gate = accept_gate;
-                                options.speculative_repair = repair;
-                                GreedyStats stats;
-                                const Graph h = run_with(g, options, &stats);
-                                EXPECT_TRUE(same_edge_set(h, naive))
-                                    << name << " diverges at num_threads=" << threads
-                                    << " sharing=" << sharing << " sketch=" << sketch
-                                    << " gate=" << accept_gate << " repair=" << repair;
-                                EXPECT_EQ(stats.edges_examined, g.num_edges());
-                                if (!sharing) {
-                                    EXPECT_EQ(stats.balls_computed, 0u);
-                                }
-                                if (!repair) {
-                                    EXPECT_EQ(stats.repairs, 0u);
-                                    EXPECT_EQ(stats.repair_fallbacks, 0u);
-                                    EXPECT_EQ(stats.certs_published, 0u);
-                                }
+                            GreedyEngineOptions options;
+                            options.stretch = 2.0;
+                            options.ball_sharing = sharing;
+                            options.bound_sketch = sketch;
+                            options.num_threads = threads;
+                            options.parallel_accept_gate = accept_gate;
+                            GreedyStats stats;
+                            const Graph h = run_with(g, options, &stats);
+                            EXPECT_TRUE(same_edge_set(h, naive))
+                                << name << " diverges at num_threads=" << threads
+                                << " sharing=" << sharing << " sketch=" << sketch
+                                << " gate=" << accept_gate;
+                            EXPECT_EQ(stats.edges_examined, g.num_edges());
+                            if (!sharing) {
+                                EXPECT_EQ(stats.balls_computed, 0u);
                             }
                         }
                     }
@@ -258,72 +260,14 @@ TEST(ParallelEngineTest, StatsAreScheduleIndependent) {
     EXPECT_EQ(a.csr_compactions, b.csr_compactions);
     EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes);
     EXPECT_EQ(a.edges_added, b.edges_added);
-    EXPECT_EQ(a.repairs, b.repairs);
-    EXPECT_EQ(a.repair_reprobes, b.repair_reprobes);
-    EXPECT_EQ(a.repair_fallbacks, b.repair_fallbacks);
-    EXPECT_EQ(a.certs_published, b.certs_published);
-    EXPECT_EQ(a.cert_ball_aborts, b.cert_ball_aborts);
-}
-
-TEST(ParallelEngineTest, RepairCountersAreWorkerCountIndependent) {
-    // The two-phase path's decisions (certificate mode, ball budgets and
-    // aborts, which candidates repair vs fall back) are pure functions of
-    // the greedy decisions -- so the counters must agree between 2- and
-    // 4-worker runs, not just between repeated runs at one width.
-    Rng rng(81);
-    const Graph g = clustered_geometric(500, 8, 40.0, 1.0, 0.7, rng);
-    GreedyStats by_threads[2];
-    Graph results[2] = {Graph(0), Graph(0)};
-    const std::size_t counts[2] = {2, 4};
-    for (int i = 0; i < 2; ++i) {
-        GreedyEngineOptions options;
-        options.stretch = 1.5;
-        options.num_threads = counts[i];
-        results[i] = run_with(g, options, &by_threads[i]);
-    }
-    EXPECT_TRUE(same_edge_set(results[0], results[1]));
-    EXPECT_EQ(by_threads[0].repairs, by_threads[1].repairs);
-    EXPECT_EQ(by_threads[0].repair_reprobes, by_threads[1].repair_reprobes);
-    EXPECT_EQ(by_threads[0].repair_fallbacks, by_threads[1].repair_fallbacks);
-    EXPECT_EQ(by_threads[0].certs_published, by_threads[1].certs_published);
-    EXPECT_EQ(by_threads[0].cert_ball_aborts, by_threads[1].cert_ball_aborts);
-    EXPECT_EQ(by_threads[0].dijkstra_runs, by_threads[1].dijkstra_runs);
-    EXPECT_EQ(by_threads[0].snapshot_accepts, by_threads[1].snapshot_accepts);
-}
-
-TEST(ParallelEngineTest, AcceptHeavyRunsResolveTentativeAcceptsByRepair) {
-    // The tentpole's acceptance shape: on an accept-heavy clustered
-    // instance (accept rate > 30%), the two-phase path must resolve the
-    // bulk of tentative accepts by certificate repair -- not by falling
-    // back to full exact queries -- while staying bit-identical to naive.
-    Rng rng(7);
-    const Graph g = clustered_geometric(1u << 10, 12, 60.0, 1.0, 0.6, rng);
-    GreedyEngineOptions options;
-    options.stretch = 1.5;
-    options.num_threads = 2;
-    GreedyStats stats;
-    const Graph h = run_with(g, options, &stats);
-    EXPECT_TRUE(same_edge_set(h, greedy_spanner(g, 1.5)));
-    const double accept_rate =
-        static_cast<double>(h.num_edges()) / static_cast<double>(g.num_edges());
-    EXPECT_GT(accept_rate, 0.30);
-    EXPECT_GT(stats.repairs, 0u);
-    EXPECT_GT(stats.certs_published, 0u);
-    // Most repairs stand without even the seeded probe (no insertion
-    // touched the certified ball).
-    EXPECT_GT(stats.repairs, stats.repair_reprobes);
-    const double resolved = static_cast<double>(stats.snapshot_accepts + stats.repairs);
-    const double tentative = resolved + static_cast<double>(stats.repair_fallbacks);
-    EXPECT_GE(resolved / tentative, 0.70)
-        << "repairs=" << stats.repairs << " fallbacks=" << stats.repair_fallbacks;
 }
 
 TEST(ParallelEngineTest, RepairedRejectsMatchExactDistances) {
-    // A repair that *refutes* a certificate (the seeded probe found a
-    // <= threshold path through an inserted edge) is a reject the naive
-    // kernel must agree with. Unit weights + tiny batches manufacture
-    // exactly that: accepts early in the batch shorten later candidates'
-    // pairs below their thresholds.
+    // A stale "far at snapshot" bit is only a tentative accept: when an
+    // earlier insertion of the same batch created a <= threshold path,
+    // the exact re-check must reject, as the naive kernel does. Unit
+    // weights + tiny batches manufacture exactly that: accepts early in
+    // the batch shorten later candidates' pairs below their thresholds.
     for (const std::uint64_t seed : {5u, 23u, 77u}) {
         Rng rng(seed);
         const Graph g = erdos_renyi(80, 0.3, {.lo = 1.0, .hi = 1.0}, rng);

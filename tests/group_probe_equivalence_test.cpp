@@ -175,8 +175,6 @@ TEST(GroupProbeEquivalenceTest, GroupProbeCountersAreThreadCountInvariant) {
         EXPECT_EQ(report.stats.group_probe_early_exits,
                   first.stats.group_probe_early_exits)
             << label;
-        EXPECT_EQ(report.stats.certs_published, first.stats.certs_published) << label;
-        EXPECT_EQ(report.stats.certs_two_sided, first.stats.certs_two_sided) << label;
     }
 }
 

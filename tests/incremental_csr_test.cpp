@@ -176,58 +176,6 @@ TEST(IncrementalCsrTest, RebuildsOnShapeMismatch) {
     EXPECT_EQ(view.num_vertices(), 12u);
 }
 
-TEST(IncrementalCsrTest, InsertLogEnumeratesEdgesSinceAnyMark) {
-    // The phase-B repair feed: a mark captured at a snapshot boundary must
-    // see exactly the edges mirrored after it, oldest first; a full
-    // rebuild resets the log. Logging is opt-in -- consumers that never
-    // repair must not pay for it.
-    Graph g(6);
-    g.add_edge(0, 1, 1.0);
-    IncrementalCsrView view;
-    ASSERT_TRUE(view.refresh(g));
-    EXPECT_EQ(view.insert_log_size(), 0u);  // rebuild starts a fresh log
-
-    // Off by default: nothing recorded.
-    const EdgeId e0 = g.add_edge(4, 5, 3.0);
-    view.add_edge(4, 5, 3.0, e0);
-    EXPECT_EQ(view.insert_log_size(), 0u);
-    view.set_log_inserts(true);
-
-    const std::size_t mark0 = view.insert_log_size();
-    const EdgeId e1 = g.add_edge(1, 2, 2.0);
-    view.add_edge(1, 2, 2.0, e1);
-    const std::size_t mark1 = view.insert_log_size();
-    const EdgeId e2 = g.add_edge(3, 4, 0.5);
-    view.add_edge(3, 4, 0.5, e2);
-
-    const auto all = view.inserts_since(mark0);
-    ASSERT_EQ(all.size(), 2u);
-    EXPECT_EQ(all[0].u, 1u);
-    EXPECT_EQ(all[0].v, 2u);
-    EXPECT_DOUBLE_EQ(all[0].weight, 2.0);
-    EXPECT_EQ(all[1].u, 3u);
-    EXPECT_DOUBLE_EQ(all[1].weight, 0.5);
-
-    const auto tail = view.inserts_since(mark1);
-    ASSERT_EQ(tail.size(), 1u);
-    EXPECT_EQ(tail[0].v, 4u);
-
-    EXPECT_TRUE(view.inserts_since(view.insert_log_size()).empty());
-
-    // Batch-boundary truncation keeps the log O(accepts per batch).
-    view.clear_insert_log();
-    EXPECT_EQ(view.insert_log_size(), 0u);
-    const EdgeId e3 = g.add_edge(0, 5, 1.5);
-    view.add_edge(0, 5, 1.5, e3);
-    ASSERT_EQ(view.inserts_since(0).size(), 1u);
-    EXPECT_EQ(view.inserts_since(0)[0].v, 5u);
-
-    // A shape mismatch forces a rebuild; the log must not leak across it.
-    Graph fresh(6);
-    ASSERT_TRUE(view.refresh(fresh));
-    EXPECT_EQ(view.insert_log_size(), 0u);
-}
-
 TEST(IncrementalCsrTest, RebuildsForDifferentGraphWithEqualCounts) {
     // The stale-mirror trap: a *different* graph whose vertex and edge
     // counts coincide must not be served the old adjacency. The last-edge

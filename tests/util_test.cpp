@@ -225,7 +225,7 @@ TEST(ThreadPoolTest, RejectsZeroWorkers) {
 
 TEST(ThreadPoolTest, WorkStealingDrainsPathologicallySkewedTasks) {
     // Tasks are dealt as contiguous per-worker ranges; the first range is
-    // loaded with tasks ~1000x the cost of the rest (the phase-A shape:
+    // loaded with tasks ~1000x the cost of the rest (the stage-2 shape:
     // one source's ball dwarfs its neighbors'). Exhausted workers must
     // steal from the loaded range rather than idle: every task runs
     // exactly once, and the slow block is retired by more than one worker.
