@@ -376,15 +376,10 @@ void write_smoke_json() {
     const auto session_probe = benchutil::run_session_probe(n, t, 2, 4);
     const auto mem_probe = benchutil::run_mem_probe(benchutil::mem_probe_n(100'000));
     const auto time_probe = benchutil::run_time_probe(benchutil::time_probe_n(100'000));
-    // The v7 group-probe ablation at the reduced CI shape: the validator
-    // enforces the metric arm's 1.5x us/candidate floor over the kOff
-    // (PR-7 per-candidate) baseline measured in the same process.
-    const auto group_probe = benchutil::run_group_probe(
-        benchutil::group_probe_n(512), 1.5, 1024, 2.0);
     const std::string path = benchutil::bench_json_path();
     benchutil::write_bench_greedy_json(path, "bench_micro", "random_nm", n,
                                        g.num_edges(), t, runs, mem_probe, time_probe,
-                                       group_probe, &session_probe);
+                                       &session_probe);
     bool all_match = true;
     for (const auto& r : runs) all_match = all_match && r.matches_naive;
     std::size_t mem_high_kb = 0;
@@ -402,13 +397,7 @@ void write_smoke_json() {
               << (mem_probe.within_budget ? "within budget" : "OVER BUDGET")
               << "; time probe n=" << time_probe.n << " "
               << time_probe.us_per_candidate << " us/candidate, cell-ball share "
-              << time_probe.cell_ball_share << "; group probe metric "
-              << group_probe.metric.speedup << "x / graph "
-              << group_probe.graph.speedup << "x, edge sets "
-              << (group_probe.metric.matches_off && group_probe.graph.matches_off
-                      ? "identical"
-                      : "MISMATCHED")
-              << ")\n";
+              << time_probe.cell_ball_share << ")\n";
 }
 
 }  // namespace

@@ -238,30 +238,10 @@ void graph_kernel_section() {
                     std::to_string(time_probe.coarse_rejects)});
     ttable.print(std::cout);
 
-    // The v7 group-probe ablation: kOff (per-candidate, the PR-7
-    // baseline) vs kOn (one batched traversal per source group) on the
-    // metric all-pairs and graph shapes, serial, warm session
-    // (GSP_GROUP_PROBE_N overrides the metric arm's point count; CI's
-    // per-PR smoke runs the reduced shape through bench_micro).
-    const auto group_probe = benchutil::run_group_probe(
-        benchutil::group_probe_n(1u << 10), 1.5, 1u << 12, 2.0);
-    std::cout << "\n== Group-probe ablation (multi-target kernel vs per-candidate) ==\n";
-    Table gtable({"arm", "n", "candidates", "off us/cand", "on us/cand", "speedup",
-                  "mean group", "early-exit share", "same edges"});
-    for (const auto* arm : {&group_probe.metric, &group_probe.graph}) {
-        gtable.add_row({arm->kind, std::to_string(arm->n),
-                        std::to_string(arm->candidates),
-                        fmt(arm->off_us_per_candidate, 2),
-                        fmt(arm->on_us_per_candidate, 2), fmt_ratio(arm->speedup),
-                        fmt(arm->mean_group_size, 1), fmt(arm->early_exit_share, 3),
-                        arm->matches_off ? "yes" : "NO"});
-    }
-    gtable.print(std::cout);
-
     const std::string path = benchutil::bench_json_path();
     benchutil::write_bench_greedy_json(path, "bench_runtime", "random_nm", n,
                                        g.num_edges(), t, runs, mem_probe, time_probe,
-                                       group_probe, &session_probe, &probe);
+                                       &session_probe, &probe);
     std::cout << "wrote " << path << "\n\n";
 
     // Parallel-stage scaling probe at t = 3: the reject-heavy regime

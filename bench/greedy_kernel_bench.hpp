@@ -3,12 +3,12 @@
 //
 // Both bench_runtime (full-size sweep, the perf-trajectory source of truth)
 // and bench_micro (CI smoke that validates the schema) emit the same JSON
-// shape, version-tagged "gsp.bench_greedy.v10", built on the library's
+// shape, version-tagged "gsp.bench_greedy.v11", built on the library's
 // shared JsonWriter + append_greedy_stats serializer (src/api/build_report)
 // instead of hand-rolled streams:
 //
 //   {
-//     "schema": "gsp.bench_greedy.v10",
+//     "schema": "gsp.bench_greedy.v11",
 //     "source": "<bench binary>",
 //     "stretch": <t>,
 //     "instance": {"kind": ..., "n": ..., "m": ...},
@@ -22,7 +22,6 @@
 //     "session_probe": {...},       // the session-reuse probe (v4)
 //     "mem_probe": {...},           // the linear-space probe (v5, required)
 //     "time_probe": {...},          // the cell-batched probe (v6, required)
-//     "group_probe": {...},         // the group-probe ablation (v7, required)
 //     "peak_rss_kb": <ru_maxrss>,
 //     "speedup_full_vs_naive": <naive seconds / full seconds>
 //   }
@@ -50,8 +49,8 @@
 // end: candidates are streamed one window at a time, never materialized.
 //
 // v7 (multi-target group probes) adds the required "group_probe" object:
-// the same instance built with EngineTuning::GroupProbing kOff (the PR-7
-// per-candidate baseline) and kOn (one batched traversal deciding a whole
+// the same instance built with the (since removed) GroupProbing knob at
+// kOff (the per-candidate baseline) and kOn (one batched traversal deciding a whole
 // source group), on both the metric all-pairs and the graph shapes, each
 // normalized to microseconds per streamed candidate. The kOn run's
 // group-probe counters attribute the amortization (mean group size,
@@ -68,6 +67,12 @@
 // and the metric probe's "repairs" / "repair_fallbacks", together with the
 // repair keys of every config's "stats". The engine's stage 2 is the
 // reject-only prefilter again, so there is no repair to count.
+//
+// v11 drops the v7 "group_probe" object. Its kOff arm was a user knob
+// that no longer exists: the candidate source picks the group mechanism
+// (cell balls for the grid, group probes for everything else), so there
+// is no per-candidate baseline left to ablate against. The group-probe
+// counters stay in every config's "stats".
 //
 // The output path defaults to BENCH_greedy.json in the working directory;
 // override with the GSP_BENCH_JSON environment variable.
@@ -539,146 +544,6 @@ inline TimeProbeResult run_time_probe(std::size_t n, double t = 2.0,
     return probe;
 }
 
-/// One arm of the v7 group-probe ablation: the same instance built with
-/// GroupProbing kOff (the PR-7 per-candidate baseline) and kOn (one
-/// batched traversal per source group), serially, through one warm
-/// session. The speedup column is the headline: how much the multi-target
-/// kernel cuts the microseconds per streamed candidate while the edge set
-/// stays bit-identical.
-struct GroupProbeArm {
-    std::string kind;  ///< "euclidean_uniform" | "random_nm"
-    std::size_t n = 0;
-    std::size_t m = 0;  ///< candidate edges (all pairs on the metric arm)
-    double stretch = 0.0;
-    std::size_t candidates = 0;  ///< streamed candidates (equal in both runs)
-    double off_seconds = 0.0;
-    double on_seconds = 0.0;
-    double off_us_per_candidate = 0.0;
-    double on_us_per_candidate = 0.0;
-    double speedup = 0.0;  ///< off_us / on_us
-    bool matches_off = false;  ///< kOn edge set == kOff edge set
-    std::size_t group_probes = 0;
-    std::size_t group_probe_decisions = 0;
-    std::size_t group_probe_early_exits = 0;
-    double mean_group_size = 0.0;   ///< decisions per probe
-    double early_exit_share = 0.0;  ///< probes stopped before draining
-    std::size_t rss_before_kb = 0;
-    std::size_t rss_after_kb = 0;
-};
-
-struct GroupProbeResult {
-    GroupProbeArm metric;
-    GroupProbeArm graph;
-};
-
-inline GroupProbeArm run_group_probe_arm(CandidateSource& source, const char* kind,
-                                         std::size_t n, std::size_t m, double t) {
-    GroupProbeArm arm;
-    arm.kind = kind;
-    arm.n = n;
-    arm.m = m;
-    arm.stretch = t;
-    arm.rss_before_kb = process_peak_rss_kb();
-
-    SpannerSession session;
-    BuildOptions options;
-    options.stretch = t;
-    options.engine.group_probing = EngineTuning::GroupProbing::kOff;
-    (void)session.build(source, options);  // prime: all timed runs are warm
-
-    // Min of three builds per arm: the ratio below feeds a CI hard-fail
-    // floor, and a single-shot quotient of two noisy timings swings far
-    // more than the kernel effect it is meant to police. Builds are
-    // deterministic, so every repeat yields the same graph and counters
-    // -- only the clock varies.
-    constexpr int kReps = 3;
-    BuildReport off_report;
-    Graph off{0};
-    arm.off_seconds = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < kReps; ++r) {
-        BuildReport rep;
-        Graph g = session.build(source, options, &rep);
-        if (rep.seconds < arm.off_seconds) {
-            arm.off_seconds = rep.seconds;
-            off_report = rep;
-            off = std::move(g);
-        }
-    }
-    arm.candidates = off_report.stats.candidates_streamed;
-
-    options.engine.group_probing = EngineTuning::GroupProbing::kOn;
-    BuildReport on_report;
-    Graph on{0};
-    arm.on_seconds = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < kReps; ++r) {
-        BuildReport rep;
-        Graph g = session.build(source, options, &rep);
-        if (rep.seconds < arm.on_seconds) {
-            arm.on_seconds = rep.seconds;
-            on_report = rep;
-            on = std::move(g);
-        }
-    }
-    arm.matches_off = same_edge_set(on, off);
-
-    const double cands =
-        static_cast<double>(arm.candidates == 0 ? 1 : arm.candidates);
-    arm.off_us_per_candidate = arm.off_seconds * 1e6 / cands;
-    arm.on_us_per_candidate = arm.on_seconds * 1e6 / cands;
-    arm.speedup = arm.on_us_per_candidate > 0.0
-                      ? arm.off_us_per_candidate / arm.on_us_per_candidate
-                      : 0.0;
-    arm.group_probes = on_report.stats.group_probes;
-    arm.group_probe_decisions = on_report.stats.group_probe_decisions;
-    arm.group_probe_early_exits = on_report.stats.group_probe_early_exits;
-    const double probes =
-        static_cast<double>(arm.group_probes == 0 ? 1 : arm.group_probes);
-    arm.mean_group_size = static_cast<double>(arm.group_probe_decisions) / probes;
-    arm.early_exit_share =
-        static_cast<double>(arm.group_probe_early_exits) / probes;
-    arm.rss_after_kb = process_peak_rss_kb();
-    return arm;
-}
-
-/// Probe size: `fallback` unless GSP_GROUP_PROBE_N overrides it (CI's
-/// per-PR smoke runs the reduced shape on which the validator enforces
-/// the 1.05x metric-arm regression floor; bench_runtime's history job runs larger).
-inline std::size_t group_probe_n(std::size_t fallback) {
-    if (const char* env = std::getenv("GSP_GROUP_PROBE_N")) {
-        const unsigned long long v = std::strtoull(env, nullptr, 10);
-        if (v > 0) return static_cast<std::size_t>(v);
-    }
-    return fallback;
-}
-
-/// The v7 headline probe. The metric arm is the all-pairs shape the
-/// acceptance criterion names (widest groups: one anchor's candidates
-/// span the whole bucket); the graph arm is the stock random_nm shape of
-/// the kernel sweep, whose min-endpoint groups are narrower but still
-/// amortize. Both arms run serial so the delta is the kernel swap, not
-/// parallelism.
-inline GroupProbeResult run_group_probe(std::size_t metric_n, double metric_t,
-                                        std::size_t graph_n, double graph_t) {
-    GroupProbeResult probe;
-    {
-        Rng rng(1234);
-        const EuclideanMetric pts = uniform_points(
-            metric_n, 2, std::sqrt(static_cast<double>(metric_n)) * 10.0, rng);
-        MetricCandidateSource source(pts);
-        probe.metric = run_group_probe_arm(source, "euclidean_uniform", metric_n,
-                                           metric_n * (metric_n - 1) / 2, metric_t);
-    }
-    {
-        Rng rng(42);
-        const Graph g =
-            random_graph_nm(graph_n, 8 * graph_n, {.lo = 1.0, .hi = 2.0}, rng);
-        GraphCandidateSource source(g);
-        probe.graph = run_group_probe_arm(source, "random_nm", graph_n,
-                                          g.num_edges(), graph_t);
-    }
-    return probe;
-}
-
 /// Process peak RSS in KiB (0 where unsupported). Kept as the top-level
 /// JSON field's reader; per-row attribution uses before/after samples of
 /// the same counter (util/rss.hpp).
@@ -695,12 +560,11 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
                                     const std::vector<KernelRun>& runs,
                                     const MemProbeResult& mem_probe,
                                     const TimeProbeResult& time_probe,
-                                    const GroupProbeResult& group_probe,
                                     const SessionProbeResult* session_probe = nullptr,
                                     const MetricProbeResult* metric_probe = nullptr) {
     JsonWriter w;
     w.begin_object();
-    w.member("schema", "gsp.bench_greedy.v10");
+    w.member("schema", "gsp.bench_greedy.v11");
     w.member("source", source);
     w.member("stretch", t);
     w.key("instance").begin_object();
@@ -822,34 +686,6 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("coarse_rejects", p.coarse_rejects);
         w.member("cell_ball_share", p.cell_ball_share);
         w.member("dijkstra_runs", p.dijkstra_runs);
-        w.end_object();
-    }
-
-    {
-        const auto write_arm = [&w](const char* key, const GroupProbeArm& a) {
-            w.key(key).begin_object();
-            w.member("kind", a.kind);
-            w.member("n", a.n);
-            w.member("m", a.m);
-            w.member("stretch", a.stretch);
-            w.member("candidates", a.candidates);
-            w.member("off_seconds", a.off_seconds);
-            w.member("on_seconds", a.on_seconds);
-            w.member("off_us_per_candidate", a.off_us_per_candidate);
-            w.member("on_us_per_candidate", a.on_us_per_candidate);
-            w.member("speedup", a.speedup);
-            w.member("matches_off", a.matches_off);
-            w.member("group_probes", a.group_probes);
-            w.member("group_probe_decisions", a.group_probe_decisions);
-            w.member("group_probe_early_exits", a.group_probe_early_exits);
-            w.member("mean_group_size", a.mean_group_size);
-            w.member("early_exit_share", a.early_exit_share);
-            w.member("rss_delta_kb", a.rss_after_kb - a.rss_before_kb);
-            w.end_object();
-        };
-        w.key("group_probe").begin_object();
-        write_arm("metric", group_probe.metric);
-        write_arm("graph", group_probe.graph);
         w.end_object();
     }
 

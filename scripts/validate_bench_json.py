@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v10)
+"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v11)
 and diff them against the tracked bench history.
 
 Usage:
@@ -83,7 +83,13 @@ deleted) drops the v3 repair counters ("repairs", "repair_reprobes",
 "accept_probe" object with them: stage 2 is the reject-only prefilter
 again, so a v10 document carrying any of them is rejected, and the 0.7
 repair_share floor -- which gated only the deleted repair path -- no
-longer applies. Older entries are still accepted and diffed on the
+longer applies. Schema v11 (the group mechanism picked by the candidate
+source, with no knob) drops the v7 "group_probe" object: its kOff arm
+built a GroupProbing setting that no longer exists, so a v11 document
+carrying the object is rejected, and the 1.05x metric-arm floor -- which
+gated the choice between two group mechanisms that are no longer a
+choice -- does not apply to v11. The group-probe counters stay in every
+config's stats block. Older entries are still accepted and diffed on the
 fields they carry.
 
 Exits non-zero if a file is missing, malformed, or violates the schema --
@@ -95,7 +101,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 11)}
+SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 12)}
 REQUIRED_TOP = {"schema", "source", "stretch", "instance", "configs",
                 "speedup_full_vs_naive"}
 REQUIRED_CONFIG = {"name", "bidirectional", "ball_sharing", "csr_snapshot",
@@ -228,7 +234,7 @@ def validate(doc: dict, path) -> None:
     version = int(schema.rsplit("v", 1)[1])
     v2, v3, v4 = version >= 2, version >= 3, version >= 4
     v5, v6, v7, v8 = version >= 5, version >= 6, version >= 7, version >= 8
-    v10 = version >= 10
+    v10, v11 = version >= 10, version >= 11
     # The SIMD fields were required in v8 only; v9 removed the kernels.
     simd_v8 = version == 8
     required_top = REQUIRED_TOP_V2 if v2 else REQUIRED_TOP
@@ -382,7 +388,9 @@ def validate(doc: dict, path) -> None:
                  f"single-core ceiling")
 
     group_probe = doc.get("group_probe")
-    if v7 and group_probe is None:
+    if v11 and group_probe is not None:
+        fail(f"{path}: schema v11 has no group_probe object")
+    if v7 and not v11 and group_probe is None:
         fail(f"{path}: schema v7 requires the group_probe object")
     if group_probe is not None:
         if missing := {"metric", "graph"} - group_probe.keys():

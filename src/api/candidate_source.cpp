@@ -67,17 +67,6 @@ void GraphCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
     append_sorted_graph_candidates(g_, out);
 }
 
-void GraphCandidateSource::configure_engine(GreedyEngineOptions& options,
-                                            SpannerSession&) {
-    // Classic min-endpoint groups pay one point probe per member; the
-    // batched multi-target probe decides them in one early-terminating
-    // traversal. Defaults only: an explicit kOff (the ablation benches,
-    // the equivalence suites' baseline) is preserved.
-    if (options.group_probing == EngineTuning::GroupProbing::kAuto) {
-        options.group_probing = EngineTuning::GroupProbing::kOn;
-    }
-}
-
 void MetricCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
     const std::size_t n = m_.size();
     if (n < 2) return;
@@ -111,22 +100,6 @@ void MetricCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
               [](const GreedyCandidate& a, const GreedyCandidate& b) {
                   return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
               });
-}
-
-void MetricCandidateSource::configure_engine(GreedyEngineOptions& options,
-                                             SpannerSession&) {
-    // All-pairs groups are the widest of any source (n - 1 members at the
-    // low end): the prime beneficiary of one-traversal group decisions.
-    if (options.group_probing == EngineTuning::GroupProbing::kAuto) {
-        options.group_probing = EngineTuning::GroupProbing::kOn;
-    }
-    // The metric would be a sound goal oracle here (edge weights are
-    // metric distances), but neither wiring pays on all-pairs streams,
-    // measured at n = 512..2048: `goal_bound` reroutes the point probes
-    // through one-sided A*, forfeiting the bidirectional two-sided
-    // harvest (~1.8x slower overall), and `probe_goal_bound` trades the
-    // probe's shared-drain harvest for per-relaxation oracle calls (the
-    // kOn arm slows ~10%). Both stay available as explicit overrides.
 }
 
 WspdCandidateSource::WspdCandidateSource(const EuclideanMetric& m, double separation,
@@ -165,16 +138,6 @@ void WspdCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
               [](const GreedyCandidate& a, const GreedyCandidate& b) {
                   return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
               });
-}
-
-void WspdCandidateSource::configure_engine(GreedyEngineOptions& options,
-                                           SpannerSession&) {
-    // Dumbbell representatives repeat across pairs (quadtree reps are
-    // hubs), so WSPD groups are wide enough for the batched probe to
-    // amortize; the grid source alone keeps its cell-batched reject balls.
-    if (options.group_probing == EngineTuning::GroupProbing::kAuto) {
-        options.group_probing = EngineTuning::GroupProbing::kOn;
-    }
 }
 
 namespace {
@@ -424,9 +387,7 @@ void BaseSpannerCandidateSource::configure_engine(GreedyEngineOptions& options,
     // Concurrent variant for the parallel prefilter stage: one query
     // scratch per worker, sized from the same resolution rule the engine
     // applies.
-    oracle_scratch_.resize(options.parallel_prefilter
-                               ? ThreadPool::resolve_workers(options.num_threads)
-                               : 1);
+    oracle_scratch_.resize(ThreadPool::resolve_workers(options.num_threads));
     options.concurrent_prefilter = [this](std::size_t worker, VertexId u, VertexId v,
                                           Weight threshold) {
         return oracle_->upper_bound_distance(u, v, threshold,

@@ -30,9 +30,7 @@ std::unique_ptr<CandidateChunkSource> GridCandidateSource::chunks() {
 }
 
 void GridCandidateSource::configure_engine(GreedyEngineOptions& options, SpannerSession&) {
-    if (options.cell_batching == EngineTuning::CellBatching::kAuto) {
-        options.cell_batching = EngineTuning::CellBatching::kOn;
-    }
+    options.cell_batching = true;
     // Cell balls amortize across a whole weight class, but the engine's
     // serial batches are clipped to the resident chunk: the default cap
     // slices a level into many pieces and every slice re-drains each
@@ -40,7 +38,7 @@ void GridCandidateSource::configure_engine(GreedyEngineOptions& options, Spanner
     // buffer -- 16 MiB of candidates -- far below the materialized list
     // the linear-space budget guards against) so a level's cell groups
     // arrive whole. Only the untouched default is widened: an explicit
-    // user cap wins, as with cell_batching above.
+    // user cap wins.
     if (options.chunk_soft_cap == EngineTuning{}.chunk_soft_cap) {
         options.chunk_soft_cap = std::size_t{1} << 21;
     }

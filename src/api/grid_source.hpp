@@ -48,11 +48,10 @@ public:
         return wspd_greedy_stretch_bound(engine_stretch, grid_.separation());
     }
 
-    /// Expose the grid's cell/window structure to the engine: a kAuto
-    /// engine resolves to cell-batched grouping, so one drained ball per
-    /// cell representative decides the whole window of rep candidates the
-    /// cell emits (the representatives are exactly the hubs the anchored
-    /// rebuild elects). An explicit kOn/kOff is left alone.
+    /// Expose the grid's cell/window structure to the engine: turns on
+    /// cell-batched grouping, so one drained ball per cell representative
+    /// decides the whole window of rep candidates the cell emits (the
+    /// representatives are exactly the hubs the anchored rebuild elects).
     void configure_engine(GreedyEngineOptions& options, SpannerSession& session) override;
 
     [[nodiscard]] double separation() const { return grid_.separation(); }

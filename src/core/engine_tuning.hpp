@@ -8,6 +8,13 @@
 //
 // Every field here is *decision preserving*: the greedy edge set is
 // bit-identical at every setting (the knobs trade work, not output).
+//
+// What is *not* here: how a batch's source groups are decided. That is a
+// fact of the candidate source, not a user choice -- the grid source
+// installs cell-batched grouping (GreedyEngineOptions::cell_batching) and
+// every other group is decided by the batched group probe, with the
+// previous batch's accept rate vetoing shared traversals in accept-heavy
+// phases (see core/greedy_engine.hpp).
 #pragma once
 
 #include <cstddef>
@@ -24,16 +31,11 @@ struct EngineTuning {
     bool csr_snapshot = true;   ///< incremental gap-buffered CSR adjacency
     bool bound_sketch = true;   ///< cross-bucket per-vertex bound sketch
 
-    /// Worker count for the parallel prefilter stage: 1 = fully serial
-    /// (the default -- parallelism is opt-in so the serial entry points
-    /// keep schedule-free stats), 0 = hardware concurrency, k = exactly k
-    /// workers. The edge set is identical at every value.
+    /// Worker count for the parallel prefilter stage: 1 = fully serial,
+    /// stage 2 off (the default -- parallelism is opt-in so the serial
+    /// entry points keep schedule-free stats), 0 = hardware concurrency,
+    /// k = exactly k workers. The edge set is identical at every value.
     std::size_t num_threads = 1;
-
-    /// Master switch for stage 2. With it off (or num_threads resolving to
-    /// 1) buckets flow straight from the candidate stream into the
-    /// serialized insertion loop.
-    bool parallel_prefilter = true;
 
     /// Stage-2 batch width ceiling: when the parallel stage is active,
     /// buckets are processed in sub-batches of at most this many
@@ -68,34 +70,6 @@ struct EngineTuning {
     /// never calibrating.
     std::size_t ball_share_min_group = 16;
 
-    /// Cell-batched candidate grouping (the grid-streamed reject
-    /// amortizer). kOff groups a batch's candidates by their min-id
-    /// endpoint (the PR-1 rule); kOn groups them by a deterministic
-    /// two-sided *anchor* endpoint (SourceGroups' hub heuristic), so one
-    /// drained ball per grid cell decides every rep candidate the cell
-    /// emits into the window -- roughly doubling group sizes on streams
-    /// that emit each pair once. kAuto lets the candidate source decide:
-    /// GridCandidateSource turns it on (its reps are exactly the hubs the
-    /// heuristic elects), everything else keeps the classic rule.
-    /// Decision preserving like every other field: anchors only change
-    /// which endpoint seeds a probe, and distances are symmetric.
-    enum class CellBatching { kAuto, kOn, kOff };
-    CellBatching cell_batching = CellBatching::kAuto;
-
-    /// Multi-target group probes (the batched-relaxation kernel): one
-    /// bounded traversal from a group's shared source carries every
-    /// member's target and decision radius, settles targets as it reaches
-    /// them, and stops once all are decided or the frontier passes the
-    /// largest undecided bound -- replacing up to |group| point queries
-    /// (or one full-radius drained ball) with one early-terminating probe.
-    /// kAuto lets the candidate source decide: graph, metric, and WSPD
-    /// sources turn it on (their classic groups pay one probe per member),
-    /// the grid source keeps its cell-batched reject balls. Decision
-    /// preserving like every other field: the kernel's verdicts are exact
-    /// distances on the same view the point queries probe.
-    enum class GroupProbing { kAuto, kOn, kOff };
-    GroupProbing group_probing = GroupProbing::kAuto;
-
     /// Optional goal-direction oracle for the engine's single-target point
     /// probes: when set, they run A* keyed by g + metric(v, target)
     /// instead of a blind (bi)directional sweep, so a probe explores the
@@ -110,17 +84,6 @@ struct EngineTuning {
     /// `bidirectional`: only the float-addition order of the pruning test
     /// differs from the one-sided sweep (last-ulp class).
     const MetricSpace* goal_bound = nullptr;
-
-    /// Optional goal-direction oracle for the *group probe* only: enables
-    /// BatchedProbe's goal-directed tail pruning without rerouting the
-    /// single-target point probes through `goal_bound` (on all-pairs
-    /// metric streams the bidirectional point query's two-sided harvest
-    /// beats the one-sided A* sweep, so switching both together trades
-    /// one win for a bigger loss). Same soundness condition as
-    /// `goal_bound`; when both are set the probe uses this one. Decision
-    /// preserving: the pruning never changes a verdict, only traversal
-    /// work (see BatchedProbe's header note).
-    const MetricSpace* probe_goal_bound = nullptr;
 
     /// Advisory chunk size (candidates) of the streaming candidate path:
     /// how many candidates a CandidateChunkSource is asked to append per
@@ -139,7 +102,6 @@ struct EngineTuning {
         t.csr_snapshot = false;
         t.bound_sketch = false;
         t.num_threads = 1;
-        t.parallel_prefilter = false;
         return t;
     }
 

@@ -53,7 +53,8 @@ struct GreedyStats {
     std::size_t certs_published = 0;
     std::size_t cert_ball_aborts = 0;
 
-    // Group-probe counters (zero unless group_probing resolved to kOn).
+    // Group-probe counters (zero for the grid source, whose groups drain
+    // cell balls, and with ball_sharing off).
     // All three are per-group facts of deterministic probes, so they are
     // invariant across worker counts (the equivalence suite checks this).
     std::size_t group_probes = 0;           ///< batched multi-target probes run
@@ -61,8 +62,8 @@ struct GreedyStats {
     std::size_t group_probe_early_exits = 0;  ///< probes that stopped with frontier
                                               ///< pending (every target decided)
 
-    // Cell-batched rejection counters (zero unless cell_batching resolved
-    // to kOn -- the grid-streamed path). cell_ball_decisions counts the
+    // Cell-batched rejection counters (zero unless the source installs
+    // cell_batching -- the grid-streamed path). cell_ball_decisions counts the
     // candidates a cell ball decided without a probe of their own: the
     // members its harvest resolved at ball time plus the later
     // lazy-revalidation accepts it backed. coarse_rejects counts

@@ -8,35 +8,12 @@
 #include <utility>
 
 #include "graph/incremental_csr.hpp"
-#include "metric/euclidean.hpp"
 #include "metric/metric_space.hpp"
 #include "util/timer.hpp"
 
 namespace gsp {
 
 namespace {
-
-/// The goal oracle handed to the group probe: point queries stay virtual
-/// calls, but when BatchedProbe asks for a whole frontier's lower bounds
-/// at once (its kBatchGoal path) a 2D Euclidean oracle evaluates them in
-/// one non-virtual loop. Bitwise-identical to per-target distance() calls
-/// (see EuclideanMetric::distances_from), so engagement decisions and
-/// verdicts are unchanged.
-struct ProbeGoalOracle {
-    const MetricSpace* m = nullptr;
-    const EuclideanMetric* e2 = nullptr;  ///< m downcast, when it is Euclidean
-
-    Weight operator()(VertexId x, VertexId tgt) const { return m->distance(x, tgt); }
-    void batch(VertexId x, std::span<const VertexId> targets, Weight* out) const {
-        if (e2 != nullptr) {
-            e2->distances_from(x, targets, out);
-        } else {
-            for (std::size_t i = 0; i < targets.size(); ++i) {
-                out[i] = m->distance(x, targets[i]);
-            }
-        }
-    }
-};
 
 /// Reject radius of the anchored (cell-batched) shared ball, as a factor
 /// of the group's heaviest candidate weight. A reject's witness path in
@@ -208,9 +185,7 @@ void GreedyEngine::init() {
         throw std::invalid_argument("GreedyEngine: stretch must be >= 1");
     }
     options_.validate();
-    workers_ = options_.parallel_prefilter
-                   ? ThreadPool::resolve_workers(options_.num_threads)
-                   : 1;
+    workers_ = ThreadPool::resolve_workers(options_.num_threads);
     if (workers_ > 1) {
         pool_ = &res_->acquire_pool(workers_);
         // Worker workspaces are sized lazily by run_impl on first use.
@@ -294,31 +269,19 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     const bool sharing = options_.ball_sharing;
     const bool parallel = parallel_enabled();
     const bool use_sketch = options_.bound_sketch;
-    // Cell-batched grouping: anchor each candidate at one endpoint by the
-    // two-sided hub heuristic instead of always at u. kAuto means no
-    // source opted in (GridCandidateSource flips it to kOn), so it
-    // resolves to the classic rule here.
-    const bool anchored =
-        sharing && options_.cell_batching == EngineTuning::CellBatching::kOn;
-    // Multi-target group probes: one bounded traversal per source group
-    // carries every member's target and radius (kAuto resolves here like
-    // cell_batching -- graph/metric/WSPD sources flip it to kOn). Rides on
-    // the group machinery, so sharing is a prerequisite.
-    const bool group_probe =
-        sharing && options_.group_probing == EngineTuning::GroupProbing::kOn;
+    // The source picks the group mechanism: cell-batched grouping (the
+    // grid's reps anchor at the two-sided hub endpoint and drain one cell
+    // ball each) or, for every other source, multi-target group probes
+    // -- one bounded traversal per source group carrying every member's
+    // target and radius. Both ride on the group machinery, so sharing is
+    // a prerequisite.
+    const bool anchored = sharing && options_.cell_batching;
+    const bool group_probe = sharing && !anchored;
     // Bounds are the currency of both ball sharing and the parallel stage.
     const bool track_bounds = sharing || parallel;
     const std::size_t meets_before = ws.meet_events() + ws_pool.total_meet_events();
     ws.resize(n_);
     if (parallel) ws_pool.configure(workers_, n_);
-
-    // Goal oracle for the serial group probe, resolved (and downcast)
-    // once per run instead of per group.
-    const MetricSpace* probe_goal_metric = options_.probe_goal_bound != nullptr
-                                               ? options_.probe_goal_bound
-                                               : options_.goal_bound;
-    const ProbeGoalOracle probe_goal_oracle{
-        probe_goal_metric, dynamic_cast<const EuclideanMetric*>(probe_goal_metric)};
 
     if (track_bounds) {
         ball_bucket.assign(n_, 0);
@@ -448,6 +411,44 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             return bw[local];
         };
 
+        // One early-exit point query, anchor -> target, in the strongest
+        // mode the options allow: goal-directed A* when a metric oracle is
+        // installed (it sweeps the pair's ellipse, not a disc around one
+        // endpoint), else meet-in-the-middle, else one-sided. With groups
+        // at hand, every label the query touched is a realizable path
+        // length: harvest them as upper bounds for the anchor's later
+        // candidates in the batch (and, when two-sided, the target's).
+        const auto point_query = [&](VertexId anchor, VertexId target, Weight threshold,
+                                     std::uint32_t li) -> Weight {
+            ++stats.dijkstra_runs;
+            const MetricSpace* goal = options_.goal_bound;
+            const bool two_sided = goal == nullptr && options_.bidirectional;
+            Weight d;
+            if (goal != nullptr) {
+                d = ws.distance_goal_directed(
+                    adapter.view(), anchor, target, threshold,
+                    [goal, target](VertexId x) { return goal->distance(x, target); });
+            } else if (two_sided) {
+                d = ws.distance_bidirectional(adapter.view(), anchor, target, threshold);
+            } else {
+                d = ws.distance(adapter.view(), anchor, target, threshold);
+            }
+            if (!sharing) return d;
+            update_ema(point_cost, static_cast<double>(ws.last_work()));
+            const auto harvest = [&](VertexId from, bool backward) {
+                for (std::uint32_t idx : groups.of(from)) {
+                    if (idx <= li) continue;
+                    const VertexId x = SourceGroups::other_of(cand_at(idx), from);
+                    const Weight b =
+                        backward ? ws.last_backward_bound(x) : ws.last_forward_bound(x);
+                    if (b < bound[idx]) bound[idx] = b;
+                }
+            };
+            harvest(anchor, false);
+            if (two_sided) harvest(target, true);
+            return d;
+        };
+
         // When stage 2 is active, a bucket is consumed in fixed-width
         // batches (uniform-ish weights collapse the whole input into one
         // geometric class, and stage-2 facts probed against a spanner that
@@ -505,7 +506,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             ctx.bidirectional = options_.bidirectional;
             ctx.ball_share_min_group = bootstrap_min_group;
             ctx.anchored = anchored;
-            ctx.group_probe = group_probe;
             ctx.ball_scope = batch_seq;
             ctx.snapshot_epoch = snapshot_epoch;
             ctx.sketch = use_sketch ? &sketch : nullptr;
@@ -624,6 +624,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     continue;
                 }
             }
+            bool need_point = false;
             if (parallel && insert_epoch == snapshot_epoch &&
                 prefilter_stage.far_at_snapshot(i)) {
                 // The stage-2 probe was exact on the batch-start view and
@@ -649,9 +650,18 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                 // since -- accept without any probe.
                 ++stats.sketch_accepts;
                 accept = true;
-            } else if (sharing) {
+            } else if (!sharing) {
+                need_point = true;
+            } else {
                 const std::uint32_t peers = groups.remaining(anchor);
                 const auto& grp = groups.of(anchor);
+                // Accept-heavy phases (the previous batch's accept rate
+                // above the stage-2 gate, kept fresh for serial runs too)
+                // veto the cell ball and the group probe: there, harvests
+                // resolve nearly nothing and every insertion stales the
+                // far certificates a shared traversal just paid for.
+                const bool accept_heavy =
+                    last_accept_rate > options_.parallel_accept_gate;
                 // Ball-vs-point gate: a ball pays off iff its measured work
                 // amortizes below the point-query work of the candidates it
                 // realistically resolves (accept-heavy phases make balls
@@ -668,12 +678,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                         // persists in the sketch, so the anchor's later
                         // batches hit the direct consult and neighboring
                         // cells' candidates hit the via-landmark reject --
-                        // which per-group cost accounting cannot see. The
-                        // previous batch's accept rate vetoes accept-heavy
-                        // phases instead (the stage-2 gate's signal, kept
-                        // fresh for serial runs too): there, harvests
-                        // resolve nearly nothing and every insertion
-                        // stales the sketch facts the ball just paid for.
+                        // which per-group cost accounting cannot see.
                         // At most one drained ball per anchor per batch:
                         // its harvested bounds are upper bounds -- sound
                         // forever -- so the group's rejects stay decided
@@ -685,8 +690,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                         // invalidation would otherwise cost.
                         want_ball = grp.size() >= std::min<std::size_t>(
                                                       bootstrap_min_group, 4) &&
-                                    last_accept_rate <= options_.parallel_accept_gate &&
-                                    ball_bucket[anchor] != batch_seq;
+                                    !accept_heavy && ball_bucket[anchor] != batch_seq;
                     } else if (ball_cost == 0.0) {
                         want_ball = grp.size() >= bootstrap_min_group;
                     } else if (point_cost != 0.0) {
@@ -703,241 +707,139 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     ++stats.cache_hits;
                     if (anchored) ++stats.cell_ball_decisions;
                     accept = true;
-                } else {
-                    bool need_point = !want_ball;
-                    if (want_ball && group_probe && !anchored &&
-                        last_accept_rate <= options_.parallel_accept_gate) {
-                        // Multi-target group probe: one bounded traversal
-                        // carries every undecided member's target and
-                        // decision radius, settles targets as the frontier
-                        // reaches them, and stops the moment the last is
-                        // decided or the frontier passes the largest
-                        // undecided bound -- the serial twin of the
-                        // stage-2 kernel path, replacing the classic
-                        // full-radius drained ball. Settled members land
-                        // as exact bounds (cache-hit rejects when their
-                        // turn comes); far members ride the published
-                        // certified-radius ball slot, accepting by the
-                        // same lazy revalidation a classic ball backs --
-                        // at a fraction of its drained area. A member
-                        // whose threshold outruns the certified radius
-                        // (possible after early termination) simply fails
-                        // revalidation and falls through to the exact
-                        // machinery: cost, never correctness.
-                        //
-                        // The accept-rate veto mirrors the cell-batched
-                        // rule above: in accept-heavy phases every
-                        // insertion stales the far certificates the probe
-                        // just paid for, so the group gets re-probed per
-                        // accept while the bidirectional point query (two
-                        // meet-in-the-middle half-balls plus a two-sided
-                        // harvest) decides each member outright.
-                        BatchedProbe& probe = ws.batched();
-                        bool li_far = false;
-                        const auto is_undecided = [&](std::uint32_t local) {
-                            return local == li ||
-                                   (local > li &&
-                                    bound[local] > t * cand_at(local).weight);
-                        };
-                        const auto mark_far = [&](std::uint32_t local) {
-                            far_mark[local] = insert_epoch;
-                            if (local == li) li_far = true;
-                        };
-                        // With a metric oracle at hand the probe goes
-                        // goal-directed once few targets remain undecided
-                        // -- the accept-side tail, where the classic drain
-                        // spends most of its area (verdicts unchanged; see
-                        // BatchedProbe's header note).
-                        const PrefilterKernel::Outcome outcome =
-                            probe_goal_metric != nullptr
-                                ? res.prefilter_kernel_.decide_group(
-                                      probe, adapter.view(), anchor, bw, 0, grp,
-                                      t, is_undecided, bound, mark_far,
-                                      kInfiniteWeight, probe_goal_oracle)
-                                : res.prefilter_kernel_.decide_group(
-                                      probe, adapter.view(), anchor, bw, 0, grp,
-                                      t, is_undecided, bound, mark_far);
-                        ++stats.dijkstra_runs;
-                        ++stats.balls_computed;
-                        ++stats.group_probes;
-                        stats.group_probe_decisions += outcome.probed;
-                        if (outcome.early_exit) ++stats.group_probe_early_exits;
-                        update_ema(ball_cost, static_cast<double>(probe.last_work()));
-                        // Value accounting mirrors the classic ball's
-                        // `resolved` (settled rejects only) so the two
-                        // paths bid against the point query on equal
-                        // terms: counting far members or cap
-                        // fall-throughs as value inflates the EMA and
-                        // flips the gate toward probes on inputs where
-                        // per-candidate queries genuinely win.
-                        const std::size_t resolved =
-                            outcome.probed - outcome.far_members -
-                            outcome.undecided_members;
-                        update_ema(ball_value, static_cast<double>(
-                                                   std::max<std::size_t>(resolved, 1)));
-                        if (use_sketch) {
-                            // Same cross-bucket harvest as a drained ball's,
-                            // except goal pruning bounds the exact claim:
-                            // settles past the engagement distance may have
-                            // had a shorter path pruned, so they land as
-                            // upper bounds (sound rejects, no lower-bound
-                            // accepts). Settle order is nondecreasing, so
-                            // the exact prefix is a prefix.
-                            const Weight exact_r = probe.settled_exact_radius();
-                            for (const auto& [x, d] : probe.settled()) {
-                                if (x == anchor) continue;
-                                if (d <= exact_r) {
-                                    sketch.record_exact(anchor, x, d, insert_epoch);
-                                } else {
-                                    sketch.record_upper(anchor, x, d);
-                                }
-                            }
-                        }
-                        ball_bucket[anchor] = batch_seq;
-                        ball_epoch[anchor] = insert_epoch;
-                        ball_radius[anchor] = outcome.certified_radius;
-                        if (bound[li] <= threshold) {
-                            accept = false;  // settled (or salvaged) witness
-                        } else if (li_far) {
-                            accept = true;  // certified far at this view
-                        } else {
-                            // The cap left li undecided: probe it directly.
-                            need_point = true;
-                        }
-                    } else if (want_ball) {
-                        // Shared ball: one query answers every candidate of
-                        // this anchor in the batch. The classic radius covers
-                        // the heaviest member's threshold, so unsettled means
-                        // far for the whole group -- but Dijkstra cost grows
-                        // with radius^2, and in the reject-heavy regime a
-                        // reject's witness path barely exceeds its weight. The
-                        // anchored (cell-batched) ball therefore drains only a
-                        // *reject radius*: enough to settle the typical
-                        // witness for every member, with no clamp up to the
-                        // current candidate's threshold -- when the shave
-                        // leaves li itself unsettled below its threshold, li
-                        // is simply undecided and falls through to its own
-                        // goal-directed probe below. Cost, never correctness:
-                        // a settled bound is an exact witness either way.
-                        const Weight w_top = cand_at(grp.back()).weight;
-                        const Weight radius =
-                            anchored ? kCellRejectRadiusFactor * w_top : t * w_top;
-                        ++stats.dijkstra_runs;
-                        ++stats.balls_computed;
-                        if (anchored) ++stats.cell_balls;
-                        const auto& settled = ws.ball(adapter.view(), anchor, radius);
-                        update_ema(ball_cost, static_cast<double>(ws.last_work()));
-                        if (use_sketch) {
-                            // The settled set is exact at this epoch: the
-                            // cross-bucket harvest that recovers the n^2
-                            // DistanceCache's hit rate in O(n) memory (and, on
-                            // streams that emit each pair once, feeds the
-                            // via-landmark coarse reject -- the anchor is the
-                            // landmark). Each record is a random write into
-                            // the O(n)-sized slot table, so the harvest is
-                            // DRAM-bound: in anchored mode only the near half
-                            // of the frontier is recorded -- a via reject
-                            // concatenates two *short* legs through a shared
-                            // anchor, so the far half buys almost no rejects
-                            // at the same per-record cost. Settle order is
-                            // nondecreasing distance: the cap is a prefix.
-                            const Weight record_cap =
-                                anchored ? 0.5 * radius : kInfiniteWeight;
-                            for (const auto& [x, d] : settled) {
-                                if (d > record_cap) break;
-                                if (x != anchor) sketch.record_exact(anchor, x, d, insert_epoch);
-                            }
-                        }
-                        std::size_t resolved = 1;  // this candidate
-                        for (std::uint32_t idx : grp) {
-                            const Weight d =
-                                ws.settled_distance(SourceGroups::other_of(cand_at(idx), anchor));
-                            if (d < bound[idx]) {
-                                bound[idx] = d;
-                                if (idx > li && d <= t * cand_at(idx).weight) ++resolved;
-                            }
-                        }
-                        update_ema(ball_value, static_cast<double>(resolved));
-                        if (anchored) stats.cell_ball_decisions += resolved;
-                        ball_bucket[anchor] = batch_seq;
-                        ball_epoch[anchor] = insert_epoch;
-                        ball_radius[anchor] = radius;
-                        if (bound[li] <= threshold) {
-                            accept = false;  // exact witness settled by a ball
-                        } else if (radius >= threshold) {
-                            accept = true;  // unsettled at a covering radius: far
-                        } else {
-                            // The reject-radius shave left li unsettled below
-                            // its own threshold: undecided, probe it directly.
-                            need_point = true;
+                } else if (want_ball && group_probe && !accept_heavy) {
+                    // Multi-target group probe: one bounded traversal
+                    // carries every undecided member's target and decision
+                    // radius, settles targets as the frontier reaches
+                    // them, and stops the moment the last is decided or
+                    // the frontier passes the largest undecided bound --
+                    // the serial twin of the stage-2 kernel path,
+                    // replacing the classic full-radius drained ball.
+                    // Settled members land as exact bounds (cache-hit
+                    // rejects when their turn comes); far members carry a
+                    // per-member far mark, accepting while no insertion
+                    // intervenes -- at a fraction of the drained area.
+                    BatchedProbe& probe = ws.batched();
+                    bool li_far = false;
+                    const auto is_undecided = [&](std::uint32_t local) {
+                        return local == li ||
+                               (local > li && bound[local] > t * cand_at(local).weight);
+                    };
+                    const auto mark_far = [&](std::uint32_t local) {
+                        far_mark[local] = insert_epoch;
+                        if (local == li) li_far = true;
+                    };
+                    const PrefilterKernel::Outcome outcome =
+                        res.prefilter_kernel_.decide_group(probe, adapter.view(), anchor,
+                                                           bw, 0, grp, t, is_undecided,
+                                                           bound, mark_far);
+                    ++stats.dijkstra_runs;
+                    ++stats.balls_computed;
+                    ++stats.group_probes;
+                    stats.group_probe_decisions += outcome.probed;
+                    if (outcome.early_exit) ++stats.group_probe_early_exits;
+                    update_ema(ball_cost, static_cast<double>(probe.last_work()));
+                    // Value accounting mirrors the classic ball's
+                    // `resolved` (settled rejects only) so the two paths
+                    // bid against the point query on equal terms:
+                    // counting far members as value inflates the EMA and
+                    // flips the gate toward probes on inputs where
+                    // per-candidate queries genuinely win.
+                    const std::size_t resolved = outcome.probed - outcome.far_members;
+                    update_ema(ball_value, static_cast<double>(
+                                               std::max<std::size_t>(resolved, 1)));
+                    if (use_sketch) {
+                        // Same cross-bucket harvest as a drained ball's:
+                        // every settle is exact at this epoch.
+                        for (const auto& [x, d] : probe.settled()) {
+                            if (x != anchor) sketch.record_exact(anchor, x, d, insert_epoch);
                         }
                     }
-                    if (need_point) {
-                        // Small group (or a ball-undecided member): an
-                        // early-exit point query decides this candidate, and
-                        // every label it touched is a realizable path length --
-                        // harvest them as upper bounds for the anchor's (and,
-                        // bidirectionally, the target's) other candidates in
-                        // the bucket.
-                        ++stats.dijkstra_runs;
-                        Weight d;
-                        if (options_.goal_bound != nullptr) {
-                            // Goal-directed probe: the metric oracle focuses the
-                            // sweep into the pair's ellipse. One-sided, so only
-                            // the forward labels are harvestable.
-                            const MetricSpace& lb = *options_.goal_bound;
-                            d = ws.distance_goal_directed(
-                                adapter.view(), anchor, target, threshold,
-                                [&lb, target](VertexId x) { return lb.distance(x, target); });
-                            update_ema(point_cost, static_cast<double>(ws.last_work()));
-                            for (std::uint32_t idx : grp) {
-                                if (idx <= li) continue;
-                                const Weight b = ws.last_forward_bound(
-                                    SourceGroups::other_of(cand_at(idx), anchor));
-                                if (b < bound[idx]) bound[idx] = b;
-                            }
-                        } else if (options_.bidirectional) {
-                            d = ws.distance_bidirectional(adapter.view(), anchor, target, threshold);
-                            update_ema(point_cost, static_cast<double>(ws.last_work()));
-                            for (std::uint32_t idx : grp) {
-                                if (idx <= li) continue;
-                                const Weight b = ws.last_forward_bound(
-                                    SourceGroups::other_of(cand_at(idx), anchor));
-                                if (b < bound[idx]) bound[idx] = b;
-                            }
-                            for (std::uint32_t idx : groups.of(target)) {
-                                if (idx <= li) continue;
-                                const Weight b = ws.last_backward_bound(
-                                    SourceGroups::other_of(cand_at(idx), target));
-                                if (b < bound[idx]) bound[idx] = b;
-                            }
-                        } else {
-                            d = ws.distance(adapter.view(), anchor, target, threshold);
-                            update_ema(point_cost, static_cast<double>(ws.last_work()));
-                            for (std::uint32_t idx : grp) {
-                                if (idx <= li) continue;
-                                const Weight b = ws.last_forward_bound(
-                                    SourceGroups::other_of(cand_at(idx), anchor));
-                                if (b < bound[idx]) bound[idx] = b;
-                            }
+                    ball_bucket[anchor] = batch_seq;
+                    ball_epoch[anchor] = insert_epoch;
+                    ball_radius[anchor] = outcome.certified_radius;
+                    // The probe carried li and decides every member it
+                    // carries: settled within its threshold (the bound
+                    // rejects) or far.
+                    accept = li_far;
+                } else if (want_ball) {
+                    // Shared ball: one query answers every candidate of
+                    // this anchor in the batch. The classic radius covers
+                    // the heaviest member's threshold, so unsettled means
+                    // far for the whole group -- but Dijkstra cost grows
+                    // with radius^2, and in the reject-heavy regime a
+                    // reject's witness path barely exceeds its weight. The
+                    // anchored (cell-batched) ball therefore drains only a
+                    // *reject radius*: enough to settle the typical
+                    // witness for every member, with no clamp up to the
+                    // current candidate's threshold -- when the shave
+                    // leaves li itself unsettled below its threshold, li
+                    // is simply undecided and falls through to its own
+                    // goal-directed probe below. Cost, never correctness:
+                    // a settled bound is an exact witness either way.
+                    // Unanchored groups reach here only in accept-heavy
+                    // batches, where the group probe stands down.
+                    const Weight w_top = cand_at(grp.back()).weight;
+                    const Weight radius =
+                        anchored ? kCellRejectRadiusFactor * w_top : t * w_top;
+                    ++stats.dijkstra_runs;
+                    ++stats.balls_computed;
+                    if (anchored) ++stats.cell_balls;
+                    const auto& settled = ws.ball(adapter.view(), anchor, radius);
+                    update_ema(ball_cost, static_cast<double>(ws.last_work()));
+                    if (use_sketch) {
+                        // The settled set is exact at this epoch: the
+                        // cross-bucket harvest that recovers the n^2
+                        // DistanceCache's hit rate in O(n) memory (and, on
+                        // streams that emit each pair once, feeds the
+                        // via-landmark coarse reject -- the anchor is the
+                        // landmark). Each record is a random write into
+                        // the O(n)-sized slot table, so the harvest is
+                        // DRAM-bound: in anchored mode only the near half
+                        // of the frontier is recorded -- a via reject
+                        // concatenates two *short* legs through a shared
+                        // anchor, so the far half buys almost no rejects
+                        // at the same per-record cost. Settle order is
+                        // nondecreasing distance: the cap is a prefix.
+                        const Weight record_cap =
+                            anchored ? 0.5 * radius : kInfiniteWeight;
+                        for (const auto& [x, d] : settled) {
+                            if (d > record_cap) break;
+                            if (x != anchor) sketch.record_exact(anchor, x, d, insert_epoch);
                         }
-                        accept = d > threshold;
-                        if (!accept) sk_pair_exact(c.u, c.v, d);
                     }
-                }
-            } else {
-                ++stats.dijkstra_runs;
-                Weight d;
-                if (options_.goal_bound != nullptr) {
-                    const MetricSpace& lb = *options_.goal_bound;
-                    d = ws.distance_goal_directed(
-                        adapter.view(), c.u, c.v, threshold,
-                        [&lb, v = c.v](VertexId x) { return lb.distance(x, v); });
-                } else if (options_.bidirectional) {
-                    d = ws.distance_bidirectional(adapter.view(), c.u, c.v, threshold);
+                    std::size_t resolved = 1;  // this candidate
+                    for (std::uint32_t idx : grp) {
+                        const Weight d =
+                            ws.settled_distance(SourceGroups::other_of(cand_at(idx), anchor));
+                        if (d < bound[idx]) {
+                            bound[idx] = d;
+                            if (idx > li && d <= t * cand_at(idx).weight) ++resolved;
+                        }
+                    }
+                    update_ema(ball_value, static_cast<double>(resolved));
+                    if (anchored) stats.cell_ball_decisions += resolved;
+                    ball_bucket[anchor] = batch_seq;
+                    ball_epoch[anchor] = insert_epoch;
+                    ball_radius[anchor] = radius;
+                    if (bound[li] <= threshold) {
+                        accept = false;  // exact witness settled by a ball
+                    } else if (radius >= threshold) {
+                        accept = true;  // unsettled at a covering radius: far
+                    } else {
+                        // The reject-radius shave left li unsettled below
+                        // its own threshold: undecided, probe it directly.
+                        need_point = true;
+                    }
                 } else {
-                    d = ws.distance(adapter.view(), c.u, c.v, threshold);
+                    need_point = true;
                 }
+            }
+            if (need_point) {
+                // No shared traversal decided this candidate (no groups,
+                // a small group, or a ball-undecided member): an
+                // early-exit point query does.
+                const Weight d = point_query(anchor, target, threshold, li);
                 accept = d > threshold;
                 if (!accept) sk_pair_exact(c.u, c.v, d);
             }

@@ -40,6 +40,15 @@
 // individually toggleable for the ablation benches and *decision
 // preserving*: every configuration returns the same edge set.
 //
+// How a source group shares work is not a knob. The candidate source
+// states it: the grid source sets `cell_batching` (one drained cell ball
+// per anchor per batch), and every other group is decided by one
+// multi-target group probe (graph/batched_probe.hpp). The only other
+// input is observed: when the previous batch's accept rate predicts an
+// accept-heavy batch, group probes give way to the classic full-radius
+// drained ball (or to point queries, by the cost model) and cell balls
+// are skipped.
+//
 // Resource model: the thread pool, the per-worker workspace pool, and the
 // sketch and landmark arenas are the expensive part of an engine. They live
 // in an EngineResources, which a GreedyEngine either owns privately (the
@@ -110,6 +119,15 @@ struct GreedyEngineOptions : EngineTuning {
     /// here. `bucket_lo` is the weight of the bucket's first candidate.
     /// Always invoked from the serial thread, before stage 2 fans out.
     std::function<void(const Graph& h, Weight bucket_lo)> on_bucket;
+
+    /// Cell-batched grouping, installed by GridCandidateSource (whose
+    /// cell representatives are exactly the hubs SourceGroups' anchored
+    /// rebuild elects): candidates group at a two-sided anchor endpoint
+    /// and one drained reject-radius ball per cell decides the window of
+    /// rep candidates the cell emits. Off, every group is decided by the
+    /// batched group probe. Decision preserving either way: anchors only
+    /// change which endpoint seeds a probe, and distances are symmetric.
+    bool cell_batching = false;
 };
 
 /// The heavy, reusable half of a greedy engine: thread pools (cached per

@@ -6,7 +6,8 @@
 //   in:  one source vertex, the group's target vertices and decision
 //        radii as two parallel contiguous arrays (radii nondecreasing --
 //        free, because group members arrive in weight order);
-//   out: per-slot verdicts (far bit OR exact distance <= radius), the
+//   out: per-slot verdicts (far bit OR exact distance <= radius; every
+//        slot gets one -- the probe always runs to each largest radius), the
 //        settled frontier as (vertex, distance) pairs, and the frontier's
 //        completeness radius.
 //
@@ -34,7 +35,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "core/candidate_stream.hpp"
@@ -49,10 +49,8 @@ public:
     struct Outcome {
         std::size_t probed = 0;       ///< members the kernel carried
         std::size_t far_members = 0;  ///< of those, decided far
-        std::size_t undecided_members = 0;  ///< cap fall-throughs, still open
         Weight certified_radius = 0.0;
         bool early_exit = false;
-        bool ran = false;  ///< false when no member was still undecided
     };
 
     /// Decide every still-undecided member of `grp` (bucket-local indices
@@ -62,29 +60,13 @@ public:
     /// their exact distance into `bounds[local]`, far members are reported
     /// through `mark_far(local)` -- the caller owns the verdict encoding
     /// (stage 2 sets far bits; the serial loop folds the verdict into its
-    /// accept flag).
-    ///
-    /// `radius_cap` bounds the traversal below the largest decision
-    /// radius (BatchedProbe's reject-radius shave); members it leaves
-    /// undecided are reported in Outcome::undecided_members and stay the
-    /// caller's to finish. Production callers run uncapped: measured on
-    /// the uniform-metric and random-graph workloads, the far-sweep's
-    /// amortization of the accept side (one shared drain certifies every
-    /// far member) beats the shave -- each capped-out accept costs a
-    /// full-threshold point probe, which is exactly the expensive query
-    /// the group probe exists to batch away.
-    ///
-    /// `goal` (optional): a lower-bound oracle `goal(x, t) <= d(x, t)`
-    /// enables the probe's goal-directed tail pruning (BatchedProbe's
-    /// run_goal). Verdicts are unchanged; the settled harvest past
-    /// probe.settled_exact_radius() degrades to upper bounds.
-    template <class View, class Undecided, class FarSink, class GoalLb = std::nullptr_t>
-    GSP_DECISION_PURE GSP_HOT_PATH Outcome decide_group(BatchedProbe& probe, const View& view, VertexId source,
-                         std::span<const GreedyCandidate> candidates, std::size_t base,
-                         const std::vector<std::uint32_t>& grp, double stretch,
-                         Undecided&& undecided, std::vector<Weight>& bounds,
-                         FarSink&& mark_far, Weight radius_cap = kInfiniteWeight,
-                         GoalLb goal = nullptr) {
+    /// accept flag). Every carried member leaves with one of the two.
+    template <class View, class Undecided, class FarSink>
+    GSP_DECISION_PURE GSP_HOT_PATH Outcome decide_group(
+        BatchedProbe& probe, const View& view, VertexId source,
+        std::span<const GreedyCandidate> candidates, std::size_t base,
+        const std::vector<std::uint32_t>& grp, double stretch, Undecided&& undecided,
+        std::vector<Weight>& bounds, FarSink&& mark_far) {
         Outcome out;
         locals_.clear();
         targets_.clear();
@@ -98,37 +80,21 @@ public:
         }
         if (locals_.empty()) return out;
 
-        if constexpr (std::is_same_v<GoalLb, std::nullptr_t>) {
-            probe.run(view, source, targets_, radii_, radius_cap);
-        } else {
-            probe.run_goal(view, source, targets_, radii_, radius_cap, goal);
-        }
+        probe.run(view, source, targets_, radii_);
 
         for (std::size_t j = 0; j < locals_.size(); ++j) {
             const std::uint32_t local = locals_[j];
             if (probe.target_far(j)) {
                 mark_far(local);
                 ++out.far_members;
-            } else if (!probe.target_undecided(j)) {
+            } else {
                 const Weight d = probe.target_bound(j);
                 if (d < bounds[local]) bounds[local] = d;
-            } else {
-                // Cap fall-through. One salvage attempt before giving the
-                // member back: an in-queue label at early exit is still a
-                // realizable path length, and if it already fits the
-                // decision radius it is a sound reject witness.
-                const Weight lb = probe.label_bound(targets_[j]);
-                if (lb <= radii_[j]) {
-                    if (lb < bounds[local]) bounds[local] = lb;
-                } else {
-                    ++out.undecided_members;
-                }
             }
         }
         out.probed = locals_.size();
         out.certified_radius = probe.certified_radius();
         out.early_exit = probe.early_exit();
-        out.ran = true;
         return out;
     }
 

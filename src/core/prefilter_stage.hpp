@@ -70,18 +70,16 @@ struct PrefilterContext {
     double stretch = 1.0;
     bool bidirectional = true;
     std::size_t ball_share_min_group = 16;
-    /// Cell-batched grouping is active: groups key on two-sided anchors
-    /// (a member's probe target is its non-anchor endpoint, not always
-    /// `.v`), and ball work is attributed to the cell_ball counters.
-    bool anchored = false;
-    /// Multi-target group probes are on: a group with >= 2 undecided
-    /// members after the sketch/oracle pass is decided by ONE batched
-    /// traversal through the PrefilterKernel seam instead of a drained
-    /// ball or per-member point probes. The kernel's verdicts are exact
-    /// on the same view, and the gate (undecided count) is a pure
-    /// function of the batch -- so edge sets and decision stats stay
+    /// Cell-batched grouping is active (the grid source): groups key on
+    /// two-sided anchors (a member's probe target is its non-anchor
+    /// endpoint, not always `.v`) and a group with enough undecided
+    /// members after the sketch/oracle pass drains one cell ball. Every
+    /// other group with >= 2 undecided members is decided by ONE batched
+    /// traversal through the PrefilterKernel seam. The kernel's verdicts
+    /// are exact on the same view, and both gates (undecided counts) are
+    /// pure functions of the batch -- so edge sets and decision stats stay
     /// bit-identical to the per-candidate path at every thread count.
-    bool group_probe = false;
+    bool anchored = false;
     /// Ball-reuse scope (the engine's batch sequence number): a published
     /// ball may only be revalidated by candidates of the same batch, whose
     /// bounds its harvest wrote.
@@ -335,14 +333,13 @@ GSP_HOT_PATH void PrefilterStage::process_group(
 
     // The batched group probe: one traversal from the shared source
     // carries every undecided member's target and decision radius,
-    // replacing the drained ball AND the per-member fall-through probes.
-    // It terminates the moment the last member is decided, so it usually
-    // drains a fraction of the full-radius ball's area. A singleton group
-    // keeps the point probe below (meet-in-the-middle beats a one-sided
-    // traversal when there is nothing to amortize). The gate reads only
-    // task-owned state (sketch/oracle verdicts of this group), so it is
-    // schedule-free.
-    if (ctx.group_probe && undecided >= 2) {
+    // replacing the per-member probes below. It terminates the moment the
+    // last member is decided, so it usually drains a fraction of the
+    // full-radius ball's area. A singleton group keeps the point probe
+    // below (meet-in-the-middle beats a one-sided traversal when there is
+    // nothing to amortize). The gate reads only task-owned state
+    // (sketch/oracle verdicts of this group), so it is schedule-free.
+    if (!ctx.anchored && undecided >= 2) {
         BatchedProbe& probe = ws.batched();
         const auto is_undecided = [&](std::uint32_t local) {
             if (oracle_reject(ctx.base + local) || far_at_snapshot(ctx.base + local)) {
@@ -365,16 +362,16 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         return;
     }
 
-    // The radius that covers the group's largest threshold: one drained
-    // ball at this radius answers every candidate of the group *exactly*
-    // at the snapshot (settled => exact distance; unsettled => distance
-    // exceeds the radius).
-    const Weight radius = ctx.stretch * cand_at(grp.back()).weight;
-    if (undecided >= ctx.ball_share_min_group) {
+    // The cell ball: at the radius that covers the group's largest
+    // threshold, one drained ball answers every candidate of the cell
+    // *exactly* at the snapshot (settled => exact distance; unsettled =>
+    // distance exceeds the radius).
+    if (ctx.anchored && undecided >= ctx.ball_share_min_group) {
+        const Weight radius = ctx.stretch * cand_at(grp.back()).weight;
         ws.ball(view, source, radius);
         ++wc.dijkstra_runs;
         ++wc.balls_computed;
-        if (ctx.anchored) ++wc.cell_balls;
+        ++wc.cell_balls;
         for (std::uint32_t local : grp) {
             if (oracle_reject(ctx.base + local)) continue;
             const GreedyCandidate& c = cand_at(local);
@@ -384,7 +381,7 @@ GSP_HOT_PATH void PrefilterStage::process_group(
             const Weight d = ws.settled_distance(SourceGroups::other_of(c, source));
             if (d < bounds[local]) bounds[local] = d;
             if (d > ctx.stretch * c.weight) set_bit(far_bits_, local);
-            if (ctx.anchored) ++wc.cell_ball_decisions;
+            ++wc.cell_ball_decisions;
         }
         // Publish the ball for the insertion loop's lazy revalidation: it
         // stays exact until the first post-snapshot insertion.

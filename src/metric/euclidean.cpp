@@ -11,6 +11,14 @@ EuclideanMetric::EuclideanMetric(std::size_t dim, std::vector<double> coords)
     if (coords_.size() % dim_ != 0) {
         throw std::invalid_argument("EuclideanMetric: coords not a multiple of dim");
     }
+    // A NaN or infinite coordinate makes distances NaN or infinite, which
+    // no spanner construction can honor (some hang, some return too few
+    // edges): refuse it at the door.
+    for (const double x : coords_) {
+        if (!std::isfinite(x)) {
+            throw std::invalid_argument("EuclideanMetric: coordinates must be finite");
+        }
+    }
 }
 
 double EuclideanMetric::squared_distance(VertexId i, VertexId j) const {

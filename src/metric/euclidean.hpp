@@ -13,7 +13,8 @@ namespace gsp {
 /// flat row-major array (point i occupies [i*d, (i+1)*d)).
 class EuclideanMetric final : public MetricSpace {
 public:
-    /// Build from flat coordinates; coords.size() must be a multiple of dim.
+    /// Build from flat coordinates; coords.size() must be a multiple of dim
+    /// and every coordinate finite (std::invalid_argument otherwise).
     EuclideanMetric(std::size_t dim, std::vector<double> coords);
 
     [[nodiscard]] std::size_t size() const override { return coords_.size() / dim_; }
@@ -29,8 +30,8 @@ public:
 
     /// Batched distances: out[i] = distance(src, targets[i]), bitwise (the
     /// 2D loop evaluates the same mul/add/sqrt tree as distance(); the
-    /// build forbids FMA contraction project-wide). The A* goal oracle's
-    /// bound pass and candidate-weight evaluation both batch through here.
+    /// build forbids FMA contraction project-wide). The all-pairs
+    /// candidate-weight evaluation batches through here.
     void distances_from(VertexId src, std::span<const VertexId> targets,
                         Weight* out) const;
 

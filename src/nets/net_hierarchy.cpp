@@ -77,20 +77,37 @@ private:
 /// Grid acceleration only pays off in low dimension (3^d cell probes).
 bool grid_applicable(const EuclideanMetric* e) { return e != nullptr && e->dim() <= 3; }
 
+/// Largest coordinate magnitude of the point set.
+double max_abs_coordinate(const EuclideanMetric& m) {
+    double most = 0.0;
+    for (VertexId p = 0; p < m.size(); ++p) {
+        for (const double x : m.point(p)) most = std::max(most, std::abs(x));
+    }
+    return most;
+}
+
+/// Whether a GridIndex with side `cell` can address every point: cell
+/// coordinates (and their +-1 neighbors) must fit in int64, or the
+/// float-to-integer conversion and the neighbor offsets overflow. Point
+/// sets spanning many orders of magnitude fail this at fine scales.
+bool grid_fits(double max_abs, double cell) { return max_abs / cell < 0x1p62; }
+
 }  // namespace
 
 double min_interpoint_distance(const MetricSpace& m) {
     const std::size_t n = m.size();
     if (n < 2) throw std::invalid_argument("min_interpoint_distance: need >= 2 points");
 
-    const auto* e = dynamic_cast<const EuclideanMetric*>(&m);
-    if (!grid_applicable(e)) {
+    const auto brute_force = [&] {
         Weight best = kInfiniteWeight;
         for (VertexId i = 0; i < n; ++i) {
             for (VertexId j = i + 1; j < n; ++j) best = std::min(best, m.distance(i, j));
         }
         return best;
-    }
+    };
+    const auto* e = dynamic_cast<const EuclideanMetric*>(&m);
+    if (!grid_applicable(e)) return brute_force();
+    const double max_abs = max_abs_coordinate(*e);
 
     // Bounding-box heuristic cell size, doubled until some pair is found in
     // a 3^d neighborhood; one refinement pass then makes the answer exact.
@@ -109,6 +126,7 @@ double min_interpoint_distance(const MetricSpace& m) {
 
     double h = extent / std::max(1.0, std::pow(static_cast<double>(n), 1.0 / static_cast<double>(d)));
     auto pass = [&](double cell) {
+        if (!grid_fits(max_abs, cell)) return brute_force();
         GridIndex grid(*e, cell);
         Weight best = kInfiniteWeight;
         for (VertexId p = 0; p < n; ++p) {
@@ -135,6 +153,7 @@ NetHierarchy::NetHierarchy(const MetricSpace& m)
       n_(m.size()) {
     if (n_ == 0) throw std::invalid_argument("NetHierarchy: empty metric");
     if (!grid_applicable(euclidean_)) euclidean_ = nullptr;
+    if (euclidean_ != nullptr) max_abs_coord_ = max_abs_coordinate(*euclidean_);
 
     // Level 0: every point, at the minimum-distance scale.
     std::vector<VertexId> base(n_);
@@ -150,7 +169,7 @@ NetHierarchy::NetHierarchy(const MetricSpace& m)
 
         std::vector<VertexId> net;
         std::vector<VertexId> parent_of(n_, kNoVertex);
-        if (euclidean_ != nullptr) {
+        if (euclidean_ != nullptr && grid_fits(max_abs_coord_, r)) {
             GridIndex grid(*euclidean_, r);
             for (VertexId p : prev) {
                 bool covered = false;
@@ -239,7 +258,7 @@ void NetHierarchy::for_each_near_pair(
     std::size_t l, double radius,
     const std::function<void(VertexId, VertexId, double)>& visit) const {
     const auto& members = levels_.at(l);
-    if (euclidean_ != nullptr) {
+    if (euclidean_ != nullptr && grid_fits(max_abs_coord_, radius)) {
         // Cells of side `radius` would make 3^d probes exhaustive, but for
         // radius >> scale the buckets get dense; exhaustiveness is what
         // matters, so cell = radius is the correct (and standard) choice.

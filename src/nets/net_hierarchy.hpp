@@ -69,6 +69,7 @@ public:
 private:
     const MetricSpace& metric_;
     const EuclideanMetric* euclidean_;  ///< non-null when grid acceleration applies
+    double max_abs_coord_ = 0.0;        ///< largest |coordinate| (grid addressability)
     std::size_t n_;
     std::vector<double> scales_;
     std::vector<std::vector<VertexId>> levels_;

@@ -82,7 +82,7 @@ std::uint32_t QuadTree::build(std::vector<VertexId> pts, std::vector<double> cen
             center[k] += ((first >> k) & 1u) ? half_size : -half_size;
         }
         if (half_size <= 0.0 || !std::isfinite(half_size)) {
-            throw std::logic_error("QuadTree: degenerate subdivision (duplicate points?)");
+            throw std::invalid_argument("QuadTree: degenerate subdivision (duplicate points?)");
         }
     }
 

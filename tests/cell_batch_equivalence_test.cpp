@@ -1,21 +1,24 @@
-// Cell-batched rejection bit-identity: a grid-streamed build with
-// EngineTuning::CellBatching::kOn (one drained ball per cell anchor
-// deciding that cell's candidates at once, plus via-landmark coarse
-// rejects) must return the same edge set and the same decision stats as
-// the per-candidate path (kOff), across {uniform, clustered} point sets,
-// thread counts {1, 2, 4, hardware}, and chunking {auto-streamed,
-// materialized}. Every shortcut the batched path takes is a sound upper
-// or lower bound compared against the same exact threshold, so decisions
-// -- not just the spanner -- must be preserved bit for bit.
+// Cell-batched rejection bit-identity: a grid-streamed build (one drained
+// ball per cell anchor deciding that cell's candidates at once, plus
+// via-landmark coarse rejects -- what the grid source installs) must
+// return the same edge set and the same decision stats as the naive
+// kernel (EngineTuning::naive(): one one-sided point query per
+// candidate), across {uniform, clustered} point sets, thread counts
+// {1, 2, 4, hardware}, and chunking {auto-streamed, materialized}. Every
+// shortcut the batched path takes is a sound upper or lower bound
+// compared against the same exact threshold, so decisions -- not just the
+// spanner -- must be preserved bit for bit.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "api/build_options.hpp"
 #include "api/grid_source.hpp"
+#include "core/greedy_engine.hpp"
 #include "gen/points.hpp"
 #include "graph/graph.hpp"
 #include "util/random.hpp"
@@ -32,8 +35,8 @@ const char* chunking_name(BuildOptions::Chunking c) {
 }
 
 /// Schedule-independent decision counters must match exactly between the
-/// batched and per-candidate paths; probe-strategy counters (dijkstra
-/// runs, cache hits, cell balls) legitimately differ.
+/// batched and naive paths; probe-strategy counters (dijkstra runs, cache
+/// hits, cell balls) legitimately differ.
 void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
                             const std::string& label) {
     EXPECT_EQ(a.edges_examined, b.edges_examined) << label;
@@ -41,36 +44,38 @@ void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.candidates_streamed, b.candidates_streamed) << label;
 }
 
-/// Reference build: per-candidate rejection (kOff), single thread,
-/// materialized. Every batched variant must reproduce its decisions.
+/// Reference build: the naive kernel over the grid's materialized
+/// candidate sequence, single thread, no source-side engine overrides.
+/// Every batched variant must reproduce its decisions.
 void check_points(const EuclideanMetric& pts, double separation, const std::string& what) {
-    BuildOptions options;
-    options.stretch = 2.0;
-    options.chunking = BuildOptions::Chunking::kMaterialize;
-    options.engine.cell_batching = EngineTuning::CellBatching::kOff;
-
+    constexpr double kStretch = 2.0;
     GridCandidateSource reference_source(pts, separation);
-    SpannerSession reference_session;
-    BuildReport reference_report;
-    const Graph reference =
-        reference_session.build(reference_source, options, &reference_report);
+    std::vector<GreedyCandidate> candidates;
+    reference_source.materialize(candidates);
+    GreedyEngineOptions naive;
+    static_cast<EngineTuning&>(naive) = EngineTuning::naive();
+    naive.stretch = kStretch;
+    GreedyEngine engine(pts.size(), naive);
+    GreedyStats reference_stats;
+    const Graph reference = engine.run(Graph(pts.size()), candidates, &reference_stats);
+    EXPECT_EQ(reference_stats.cell_balls, 0u) << what;
 
     for (const std::size_t threads : kThreadCounts) {
         for (const BuildOptions::Chunking chunking : kChunkings) {
             const std::string label = what + " threads=" + std::to_string(threads) +
                                       " chunking=" + chunking_name(chunking);
-            BuildOptions batched = options;
+            BuildOptions batched;
+            batched.stretch = kStretch;
             batched.chunking = chunking;
             batched.engine.num_threads = threads;
-            batched.engine.cell_batching = EngineTuning::CellBatching::kOn;
             GridCandidateSource source(pts, separation);
             SpannerSession session;
             BuildReport report;
             const Graph h = session.build(source, batched, &report);
             EXPECT_TRUE(same_edge_set(h, reference)) << label;
-            expect_decisions_equal(report.stats, reference_report.stats, label);
-            EXPECT_EQ(report.edges, reference_report.edges) << label;
-            EXPECT_EQ(report.weight, reference_report.weight) << label;
+            expect_decisions_equal(report.stats, reference_stats, label);
+            EXPECT_EQ(report.edges, reference.num_edges()) << label;
+            EXPECT_EQ(report.weight, reference.total_weight()) << label;
         }
     }
 }
@@ -91,36 +96,6 @@ TEST_P(CellBatchEquivalenceTest, ClusteredPointsDecideIdentically) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CellBatchEquivalenceTest,
                          ::testing::Values(11u, 407u, 9001u));
-
-TEST(CellBatchEquivalenceTest, GridSourceDefaultsToCellBatching) {
-    // kAuto + grid source flips to kOn via configure_engine: the batched
-    // machinery must actually engage (cell balls amortize the rejects)
-    // while the decisions match an explicit kOff build.
-    Rng rng(77);
-    const EuclideanMetric pts = uniform_points(480, 2, 220.0, rng);
-
-    BuildOptions off;
-    off.stretch = 2.0;
-    off.engine.cell_batching = EngineTuning::CellBatching::kOff;
-    GridCandidateSource off_source(pts, 5.0);
-    SpannerSession off_session;
-    BuildReport off_report;
-    const Graph reference = off_session.build(off_source, off, &off_report);
-    EXPECT_EQ(off_report.stats.cell_balls, 0u);
-    EXPECT_EQ(off_report.stats.cell_ball_decisions, 0u);
-
-    BuildOptions auto_opts;
-    auto_opts.stretch = 2.0;
-    ASSERT_EQ(auto_opts.engine.cell_batching, EngineTuning::CellBatching::kAuto);
-    GridCandidateSource source(pts, 5.0);
-    SpannerSession session;
-    BuildReport report;
-    const Graph h = session.build(source, auto_opts, &report);
-    EXPECT_TRUE(same_edge_set(h, reference));
-    EXPECT_EQ(report.stats.edges_added, off_report.stats.edges_added);
-    EXPECT_GT(report.stats.cell_balls, 0u);
-    EXPECT_GE(report.stats.cell_ball_decisions, report.stats.cell_balls);
-}
 
 TEST(CellBatchEquivalenceTest, CellCountersAreThreadCountInvariant) {
     // The prefilter's verdict bitset is commutative (relaxed fetch_or) and

@@ -1,12 +1,13 @@
-// Multi-target group-probe bit-identity: a build with
-// EngineTuning::GroupProbing::kOn (one batched-relaxation traversal
-// deciding a whole source group against per-member radii) must return the
-// same edge set and the same decision stats as the per-candidate path
-// (kOff), across the sources that opt in ({graph, metric, wspd}), thread
-// counts {1, 2, 4, hardware}, and chunking {chunked, materialized}. Every
-// kernel verdict is an exact distance or a sound far certificate against
-// the same view the point probes query, so decisions -- not just the
-// spanner -- must be preserved bit for bit.
+// Multi-target group-probe bit-identity: a build whose source groups are
+// decided by the batched group probe (one traversal deciding a whole
+// source group against per-member radii -- what every source but the grid
+// gets) must return the same edge set and the same decision stats as the
+// naive kernel (EngineTuning::naive(): one one-sided point query per
+// candidate), across the sources that probe ({graph, metric, wspd}),
+// thread counts {1, 2, 4, hardware}, and chunking {chunked,
+// materialized}. Every kernel verdict is an exact distance or a sound far
+// certificate against the same view the point probes query, so decisions
+// -- not just the spanner -- must be preserved bit for bit.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
@@ -15,14 +16,18 @@
 #include <functional>
 #include <memory>
 #include <string>
-
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "api/build_options.hpp"
 #include "api/candidate_source.hpp"
+#include "api/registry.hpp"
+#include "core/greedy_engine.hpp"
 #include "gen/graphs.hpp"
-#include "graph/batched_probe.hpp"
 #include "gen/points.hpp"
+#include "graph/batched_probe.hpp"
+#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 #include "metric/euclidean.hpp"
 #include "util/random.hpp"
@@ -39,8 +44,8 @@ const char* chunking_name(BuildOptions::Chunking c) {
 }
 
 /// Schedule-independent decision counters must match exactly between the
-/// batched-probe and per-candidate paths; probe-strategy counters
-/// (dijkstra runs, cache hits, group probes) legitimately differ.
+/// batched-probe and naive paths; probe-strategy counters (dijkstra runs,
+/// cache hits, group probes) legitimately differ.
 void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
                             const std::string& label) {
     EXPECT_EQ(a.edges_examined, b.edges_examined) << label;
@@ -48,38 +53,41 @@ void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.candidates_streamed, b.candidates_streamed) << label;
 }
 
-/// Reference build: per-candidate probing (kOff), single thread,
-/// materialized. Every group-probe variant must reproduce its decisions.
+/// Reference build: the naive kernel over the source's materialized
+/// candidate sequence, single thread, no source-side engine overrides.
+Graph naive_build(CandidateSource& source, double stretch, GreedyStats& stats) {
+    std::vector<GreedyCandidate> candidates;
+    source.materialize(candidates);
+    GreedyEngineOptions options;
+    static_cast<EngineTuning&>(options) = EngineTuning::naive();
+    options.stretch = stretch;
+    GreedyEngine engine(source.num_vertices(), options);
+    return engine.run(Graph(source.num_vertices()), candidates, &stats);
+}
+
 void check_source(const std::function<std::unique_ptr<CandidateSource>()>& make_source,
                   double stretch, const std::string& what) {
-    BuildOptions options;
-    options.stretch = stretch;
-    options.chunking = BuildOptions::Chunking::kMaterialize;
-    options.engine.group_probing = EngineTuning::GroupProbing::kOff;
-
-    SpannerSession reference_session;
-    BuildReport reference_report;
+    GreedyStats reference_stats;
     const auto reference_source = make_source();
-    const Graph reference =
-        reference_session.build(*reference_source, options, &reference_report);
-    EXPECT_EQ(reference_report.stats.group_probes, 0u) << what;
+    const Graph reference = naive_build(*reference_source, stretch, reference_stats);
+    EXPECT_EQ(reference_stats.group_probes, 0u) << what;
 
     for (const std::size_t threads : kThreadCounts) {
         for (const BuildOptions::Chunking chunking : kChunkings) {
             const std::string label = what + " threads=" + std::to_string(threads) +
                                       " chunking=" + chunking_name(chunking);
-            BuildOptions probed = options;
+            BuildOptions probed;
+            probed.stretch = stretch;
             probed.chunking = chunking;
             probed.engine.num_threads = threads;
-            probed.engine.group_probing = EngineTuning::GroupProbing::kOn;
             const auto source = make_source();
             SpannerSession session;
             BuildReport report;
             const Graph h = session.build(*source, probed, &report);
             EXPECT_TRUE(same_edge_set(h, reference)) << label;
-            expect_decisions_equal(report.stats, reference_report.stats, label);
-            EXPECT_EQ(report.edges, reference_report.edges) << label;
-            EXPECT_EQ(report.weight, reference_report.weight) << label;
+            expect_decisions_equal(report.stats, reference_stats, label);
+            EXPECT_EQ(report.edges, reference.num_edges()) << label;
+            EXPECT_EQ(report.weight, reference.total_weight()) << label;
         }
     }
 }
@@ -110,35 +118,34 @@ TEST_P(GroupProbeEquivalenceTest, WspdPairsDecideIdentically) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupProbeEquivalenceTest,
                          ::testing::Values(7u, 521u, 4242u));
 
-TEST(GroupProbeEquivalenceTest, OptInSourcesDefaultToGroupProbing) {
-    // kAuto + a graph/metric/wspd source flips to kOn via
-    // configure_engine: the batched kernel must actually engage (probes
-    // run, decisions amortize) while the decisions match an explicit kOff
-    // build.
+TEST(GroupProbeEquivalenceTest, SourcePicksTheGroupMechanism) {
+    // No knob selects the group mechanism: the grid source installs cell
+    // balls, and every other engine-backed registry entry's groups are
+    // decided by group probes. Both must actually engage at default
+    // settings.
     Rng rng(55);
-    const EuclideanMetric pts = uniform_points(90, 2, 80.0, rng);
-
-    BuildOptions off;
-    off.stretch = 1.5;
-    off.engine.group_probing = EngineTuning::GroupProbing::kOff;
-    MetricCandidateSource off_source(pts);
-    SpannerSession off_session;
-    BuildReport off_report;
-    const Graph reference = off_session.build(off_source, off, &off_report);
-    EXPECT_EQ(off_report.stats.group_probes, 0u);
-    EXPECT_EQ(off_report.stats.group_probe_decisions, 0u);
-
-    BuildOptions auto_opts;
-    auto_opts.stretch = 1.5;
-    ASSERT_EQ(auto_opts.engine.group_probing, EngineTuning::GroupProbing::kAuto);
-    MetricCandidateSource source(pts);
+    const EuclideanMetric pts = uniform_points(400, 2, 200.0, rng);
+    const Graph g = erdos_renyi(300, 0.1, {.lo = 0.5, .hi = 3.0}, rng);
+    const AlgorithmRegistry& registry = AlgorithmRegistry::global();
     SpannerSession session;
-    BuildReport report;
-    const Graph h = session.build(source, auto_opts, &report);
-    EXPECT_TRUE(same_edge_set(h, reference));
-    EXPECT_EQ(report.stats.edges_added, off_report.stats.edges_added);
-    EXPECT_GT(report.stats.group_probes, 0u);
-    EXPECT_GE(report.stats.group_probe_decisions, report.stats.group_probes);
+
+    for (const std::string_view name :
+         {"greedy", "greedy-metric", "greedy-wspd", "greedy-approx"}) {
+        const BuildInput input =
+            name == "greedy" ? BuildInput::of(g) : BuildInput::of(pts);
+        BuildReport report;
+        (void)registry.build(name, session, input, BuildOptions{}, &report);
+        EXPECT_GT(report.stats.group_probes, 0u) << name;
+        EXPECT_GE(report.stats.group_probe_decisions, report.stats.group_probes) << name;
+        EXPECT_EQ(report.stats.cell_balls, 0u) << name;
+    }
+
+    BuildReport grid;
+    (void)registry.build("greedy-grid", session, BuildInput::of(pts), BuildOptions{},
+                         &grid);
+    EXPECT_GT(grid.stats.cell_balls, 0u);
+    EXPECT_GE(grid.stats.cell_ball_decisions, grid.stats.cell_balls);
+    EXPECT_EQ(grid.stats.group_probes, 0u);
 }
 
 TEST(GroupProbeEquivalenceTest, GroupProbeCountersAreThreadCountInvariant) {
@@ -178,30 +185,29 @@ TEST(GroupProbeEquivalenceTest, GroupProbeCountersAreThreadCountInvariant) {
     }
 }
 
-TEST(GroupProbeEquivalenceTest, GoalDirectedRunMatchesPlainVerdicts) {
-    // run_goal's pruning drops relaxations that cannot serve any live
-    // target, but every verdict-bearing path survives its own target's
-    // test -- so far bits and settled target distances must be identical
-    // to the plain run, while the certified/exact radii may only shrink
-    // and the surviving exact prefix must agree with the plain frontier.
+TEST(GroupProbeEquivalenceTest, PlainRunVerdictsMatchDijkstra) {
+    // The kernel's contract, checked target by target against one-sided
+    // Dijkstra on the same graph: a slot is far iff its distance exceeds
+    // its radius, a settled slot's bound is its exact distance, and the
+    // settled frontier is exact -- and complete out to certified_radius().
     Rng rng(1717);
     const EuclideanMetric pts = uniform_points(120, 2, 60.0, rng);
-
-    // A metric-weighted graph: greedy spanner of the points (every edge
-    // weight is the metric distance of its endpoints, so the metric is a
-    // sound lower bound on graph distances).
     MetricCandidateSource source(pts);
     SpannerSession session;
     BuildOptions options;
     options.stretch = 1.6;
     const Graph g = session.build(source, options);
 
-    BatchedProbe plain;
-    BatchedProbe goal;
-    const auto lb = [&pts](VertexId x, VertexId t) { return pts.distance(x, t); };
+    BatchedProbe probe;
+    DijkstraWorkspace ws;
+    const auto exact = [&](VertexId s, VertexId x) {
+        return ws.distance(g, s, x, kInfiniteWeight);
+    };
     for (const VertexId source_v : {VertexId{0}, VertexId{17}, VertexId{63}}) {
         // Targets with spread radii: some settle, some certify far, and
         // the nondecreasing-radii invariant mirrors the engine's groups.
+        // Repeating a target checks that duplicate slots are decided
+        // independently.
         std::vector<VertexId> targets;
         std::vector<Weight> radii;
         for (VertexId t = 1; t < 40; ++t) {
@@ -209,57 +215,36 @@ TEST(GroupProbeEquivalenceTest, GoalDirectedRunMatchesPlainVerdicts) {
             targets.push_back(t);
             radii.push_back(0.4 * static_cast<Weight>(targets.size()));
         }
-        plain.run(g, source_v, targets, radii);
-        goal.run_goal(g, source_v, targets, radii, kInfiniteWeight, lb);
+        targets.push_back(targets.front());
+        radii.push_back(radii.back() + 1.0);
+        probe.run(g, source_v, targets, radii);
 
-        EXPECT_EQ(plain.settled_exact_radius(), kInfiniteWeight);
-        EXPECT_LE(goal.certified_radius(), plain.certified_radius());
+        std::size_t far = 0;
         for (std::size_t i = 0; i < targets.size(); ++i) {
-            EXPECT_EQ(goal.target_far(i), plain.target_far(i)) << i;
-            EXPECT_EQ(goal.target_undecided(i), plain.target_undecided(i)) << i;
-            EXPECT_EQ(goal.target_bound(i), plain.target_bound(i)) << i;
-        }
-        // The goal run's exact prefix must match the plain frontier
-        // distance for distance; beyond it entries are upper bounds.
-        const Weight exact_r = goal.settled_exact_radius();
-        for (const auto& [x, d] : goal.settled()) {
-            if (d <= exact_r) {
-                EXPECT_EQ(d, plain.label_bound(x)) << "vertex " << x;
+            const Weight d = exact(source_v, targets[i]);
+            EXPECT_EQ(probe.target_far(i), d > radii[i]) << "slot " << i;
+            if (probe.target_far(i)) {
+                ++far;
+                EXPECT_EQ(probe.target_bound(i), kInfiniteWeight) << "slot " << i;
             } else {
-                EXPECT_GE(d, plain.label_bound(x)) << "vertex " << x;
+                EXPECT_EQ(probe.target_bound(i), d) << "slot " << i;
+            }
+        }
+        EXPECT_GT(far, 0u);
+        EXPECT_LT(far, targets.size());
+
+        std::unordered_map<VertexId, Weight> settled;
+        for (const auto& [x, d] : probe.settled()) {
+            EXPECT_EQ(d, exact(source_v, x)) << "vertex " << x;
+            settled.emplace(x, d);
+        }
+        const Weight r = probe.certified_radius();
+        for (VertexId x = 0; x < g.num_vertices(); ++x) {
+            if (exact(source_v, x) <= r) {
+                EXPECT_TRUE(settled.contains(x)) << "vertex " << x << " radius " << r;
             }
         }
     }
-}
-
-TEST(GroupProbeEquivalenceTest, ProbeGoalOracleBuildsDecideIdentically) {
-    // The probe_goal_bound override routes the serial kernel's probes
-    // through run_goal; decisions (edge set, decision counters) must be
-    // bit-identical to the un-goaled kOn build and the kOff reference.
-    Rng rng(31337);
-    const EuclideanMetric pts = uniform_points(90, 2, 80.0, rng);
-
-    BuildOptions off;
-    off.stretch = 1.5;
-    off.engine.group_probing = EngineTuning::GroupProbing::kOff;
-    MetricCandidateSource off_source(pts);
-    SpannerSession off_session;
-    BuildReport off_report;
-    const Graph reference = off_session.build(off_source, off, &off_report);
-
-    BuildOptions goaled;
-    goaled.stretch = 1.5;
-    goaled.engine.group_probing = EngineTuning::GroupProbing::kOn;
-    goaled.engine.probe_goal_bound = &pts;
-    MetricCandidateSource source(pts);
-    SpannerSession session;
-    BuildReport report;
-    const Graph h = session.build(source, goaled, &report);
-    EXPECT_TRUE(same_edge_set(h, reference));
-    EXPECT_EQ(report.stats.edges_examined, off_report.stats.edges_examined);
-    EXPECT_EQ(report.stats.edges_added, off_report.stats.edges_added);
-    EXPECT_EQ(report.stats.candidates_streamed, off_report.stats.candidates_streamed);
-    EXPECT_GT(report.stats.group_probes, 0u);
 }
 
 }  // namespace

@@ -52,11 +52,6 @@ const char* source_name(SourceKind k) {
     return "?";
 }
 
-/// kAuto / kOn / kOff, the declaration order of both tri-state knobs.
-const char* mode_name(int mode) {
-    return mode == 0 ? "auto" : mode == 1 ? "on" : "off";
-}
-
 /// kAuto / kMaterialize / kChunked.
 const char* chunking_name(int mode) {
     return mode == 0 ? "auto" : mode == 1 ? "materialize" : "chunked";
@@ -73,8 +68,7 @@ struct Draw {
     SourceKind kind = SourceKind::kGraph;
     double stretch = 2.0;
     BuildOptions options;
-    bool goal = false;        ///< goal_bound = the instance's metric
-    bool probe_goal = false;  ///< probe_goal_bound = the instance's metric
+    bool goal = false;  ///< goal_bound = the instance's metric
     std::string text;
 };
 
@@ -90,7 +84,6 @@ Draw draw_settings(Rng& rng) {
     e.bound_sketch = rng.chance(0.6);
     e.num_threads = pick(rng, {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                std::size_t{0}});
-    e.parallel_prefilter = rng.chance(0.8);
     e.parallel_batch = pick(rng, {std::size_t{1}, std::size_t{7}, std::size_t{64},
                                   std::size_t{2048}});
     e.parallel_accept_gate = pick(rng, {0.0, 0.1, 0.25, 0.6, 1.0});
@@ -99,20 +92,13 @@ Draw draw_settings(Rng& rng) {
     e.bucket_ratio = pick(rng, {1.05, 1.5, 2.0, 4.0});
     e.ball_share_min_group = pick(rng, {std::size_t{1}, std::size_t{2}, std::size_t{16},
                                         std::size_t{64}});
-    const int cell = static_cast<int>(rng.index(3));
-    const int group = static_cast<int>(rng.index(3));
-    e.cell_batching = static_cast<EngineTuning::CellBatching>(cell);
-    e.group_probing = static_cast<EngineTuning::GroupProbing>(group);
     e.chunk_soft_cap = pick(rng, {std::size_t{1}, std::size_t{5}, std::size_t{64},
                                   std::size_t{1} << 16});
     const int chunking = static_cast<int>(rng.index(3));
     d.options.chunking = static_cast<BuildOptions::Chunking>(chunking);
-    // The goal oracles are sound only when edge weights are metric
+    // The goal oracle is sound only when edge weights are metric
     // distances: every source but the weighted-graph one.
-    if (d.kind != SourceKind::kGraph) {
-        d.goal = rng.chance(0.3);
-        d.probe_goal = rng.chance(0.3);
-    }
+    if (d.kind != SourceKind::kGraph) d.goal = rng.chance(0.3);
     d.options.stretch = d.stretch;
 
     std::ostringstream os;
@@ -120,13 +106,11 @@ Draw draw_settings(Rng& rng) {
        << " bidirectional=" << e.bidirectional << " ball_sharing=" << e.ball_sharing
        << " csr_snapshot=" << e.csr_snapshot << " bound_sketch=" << e.bound_sketch
        << " num_threads=" << e.num_threads
-       << " parallel_prefilter=" << e.parallel_prefilter
        << " parallel_batch=" << e.parallel_batch
        << " parallel_accept_gate=" << e.parallel_accept_gate
        << " sketch_ways=" << e.sketch_ways << " bucket_ratio=" << e.bucket_ratio
        << " ball_share_min_group=" << e.ball_share_min_group
-       << " cell_batching=" << mode_name(cell) << " group_probing=" << mode_name(group)
-       << " goal_bound=" << d.goal << " probe_goal_bound=" << d.probe_goal
+       << " goal_bound=" << d.goal
        << " chunk_soft_cap=" << e.chunk_soft_cap << " chunking=" << chunking_name(chunking);
     d.text = os.str();
     return d;
@@ -163,7 +147,6 @@ void check_draw(std::uint64_t seed) {
                                     ? uniform_points(n, 2, 40.0, rng)
                                     : clustered_points(n, 2, 3, 40.0, 1.0, rng);
     if (d.goal) d.options.engine.goal_bound = &pts;
-    if (d.probe_goal) d.options.engine.probe_goal_bound = &pts;
 
     GraphCandidateSource graph_source(g);
     MetricCandidateSource metric_source(pts);
