@@ -17,7 +17,7 @@
 namespace gsp {
 
 struct BuildOptions {
-    /// Stretch target t >= 1 of the exact-greedy family (greedy,
+    /// Stretch target t >= 1, finite, of the exact-greedy family (greedy,
     /// greedy-metric, greedy-wspd). The approximate-greedy and baseline
     /// constructions derive their targets from their own sections below.
     double stretch = 2.0;

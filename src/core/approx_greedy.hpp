@@ -8,18 +8,16 @@
 //      the output unconditionally -- their total weight is O(MST);
 //   3. simulate the greedy algorithm with stretch t_sim over the remaining
 //      edges of G' in non-decreasing weight order, bucketed by weight into
-//      geometric classes; per bucket, a ClusterGraph of radius
-//      O(eps) * (bucket scale) provides a sound *reject-only* fast path
-//      (its distances are realizable path lengths, i.e. upper bounds);
-//      edges that survive the fast path are decided by an exact
-//      distance-limited Dijkstra.
+//      geometric classes.
 //
-// Divergence from [GLN02] (see DESIGN.md §2.3/§6): the original maintains
-// its cluster graph incrementally and answers *all* queries approximately;
-// we rebuild per bucket and keep exact queries for accepted edges. The
-// consequence is the same Lemma-11 gap invariant -- every kept non-E0 edge
-// has second-shortest-path weight > t_sim * w(e) -- with a simpler
-// soundness story, at the cost of a (measured, small) extra runtime factor.
+// Divergence from [GLN02]: the paper answers the simulation's distance
+// queries approximately on cluster graphs, which is what gives its
+// O(n log n) time bound. Here every candidate is decided exactly by the
+// shared GreedyEngine (its sound cached bounds, or an exact
+// distance-limited probe). The consequence is the same Lemma-11 gap
+// invariant -- every kept non-E0 edge has second-shortest-path weight
+// > t_sim * w(e) -- with a simpler soundness story; the running time is
+// the engine's, not the paper's bound.
 //
 // Output stretch: t_base * t_sim <= 1 + eps by construction of the budgets.
 //
@@ -51,15 +49,6 @@ struct ApproxParams {
     /// measured stretch).
     std::size_t theta_cones_override = 0;
 
-    /// Use the ClusterGraph reject-only fast path. Off by default: with the
-    /// engine's bidirectional + cached exact path, bench_ablation measures
-    /// the per-bucket oracle rebuild as a ~0.5x *slowdown* (it was a win
-    /// over the one-sided naive kernel). Opting in arms the engine's
-    /// measured-cost gate (GreedyEngineOptions::PrefilterGate::kAdaptive),
-    /// which times a calibration window and drops the oracle mid-run if it
-    /// is not paying for itself; the output is identical either way.
-    bool use_cluster_oracle = false;
-
     /// Degree cap handed to the net-spanner base (generic metrics only).
     std::size_t net_degree_cap = 64;
 };
@@ -69,8 +58,7 @@ struct ApproxGreedyResult {
     Graph base;                 ///< the base spanner G'
     std::size_t light_edges = 0;    ///< |E0|
     std::size_t buckets = 0;        ///< number of weight buckets processed
-    std::size_t oracle_rejects = 0; ///< fast-path rejections
-    std::size_t exact_queries = 0;  ///< exact Dijkstra decisions
+    std::size_t exact_queries = 0;  ///< candidates decided by the exact engine
     double t_base = 0.0;            ///< stretch budget given to G'
     double t_sim = 0.0;             ///< stretch used by the greedy simulation
     double seconds_base = 0.0;      ///< wall-clock: base construction

@@ -1,6 +1,7 @@
 #include "core/candidate_stream.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace gsp {
@@ -35,6 +36,11 @@ bool ChunkedCandidateStream::refill() {
         }
         prev = c.weight;
         have_prev = true;
+    }
+    // Sorted, so the chunk's heaviest threshold is its last one.
+    if (!std::isfinite(stretch_ * prev)) {
+        throw std::invalid_argument(
+            "ChunkedCandidateStream: stretch * weight overflows to a non-finite threshold");
     }
     last_weight_ = prev;
     have_last_ = true;

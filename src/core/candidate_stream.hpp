@@ -92,15 +92,18 @@ class ChunkedCandidateStream {
 public:
     /// `buffer` must outlive the stream; it is cleared and refilled on
     /// every chunk pull. Requires bucket_ratio > 1 and soft_cap >= 1.
+    /// `stretch` is the engine's t: every chunk's thresholds t * w must be
+    /// finite.
     ChunkedCandidateStream(CandidateChunkSource& source,
                            std::vector<GreedyCandidate>& buffer, double bucket_ratio,
-                           std::size_t soft_cap)
+                           std::size_t soft_cap, double stretch)
         : source_(&source), buffer_(&buffer), bucket_ratio_(bucket_ratio),
-          soft_cap_(soft_cap) {}
+          soft_cap_(soft_cap), stretch_(stretch) {}
 
     /// Produce the next bucket (global candidate indices, like
     /// CandidateStream); false at end of stream. Throws
-    /// std::invalid_argument if the source violates the ordering contract.
+    /// std::invalid_argument if the source violates the ordering contract
+    /// or a chunk carries a non-finite threshold.
     bool next(CandidateBucket& out);
 
     /// The resident candidates of `bucket` (which must be the bucket most
@@ -125,6 +128,7 @@ private:
     std::vector<GreedyCandidate>* buffer_;
     double bucket_ratio_;
     std::size_t soft_cap_;
+    double stretch_;
     std::size_t base_ = 0;    ///< global index of buffer_[0]
     std::size_t cursor_ = 0;  ///< global index of the next unconsumed candidate
     bool exhausted_ = false;

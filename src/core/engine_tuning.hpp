@@ -57,7 +57,7 @@ struct EngineTuning {
     std::size_t sketch_ways = BoundSketch::kDefaultWays;
 
     /// Geometric ratio of the weight buckets that pace ball sharing, CSR
-    /// rebuilds, and `on_bucket` callbacks (mu in the paper's sketch).
+    /// rebuilds, and landmark-table refreshes (mu in the paper's sketch).
     /// Must be > 1.
     double bucket_ratio = 2.0;
 

@@ -36,12 +36,10 @@ struct GreedyStats {
                                           ///< incremental store: one per run, not per bucket)
     std::size_t csr_compactions = 0;      ///< incremental-CSR arena compactions
     std::size_t bidirectional_meets = 0;  ///< improving frontier-meet events
-    std::size_t prefilter_rejects = 0;    ///< candidates rejected by the prefilter hook
     std::size_t buckets = 0;              ///< weight buckets processed
 
     // Pipeline counters (zero when the parallel prefilter stage is off).
     std::size_t snapshot_accepts = 0;   ///< accepts certified by the bucket-start probe
-    std::size_t prefilter_gated_off = 0;  ///< 1 if the measured-cost gate disabled the prefilter
 
     // Always zero: the speculative accept path that counted these is
     // gone. The fields remain only because the end-to-end benchmark

@@ -1,8 +1,8 @@
 #include "core/greedy_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -53,40 +53,6 @@ struct IncrementalAdapter {
     [[nodiscard]] const IncrementalCsrView& view() const { return v; }
     [[nodiscard]] std::size_t rebuilds() const { return v.rebuilds(); }
     [[nodiscard]] std::size_t compactions() const { return v.compactions(); }
-};
-
-/// Measured-cost gate for the prefilter hooks: a calibration window times
-/// each (serial) prefilter call and each exact decision of a candidate the
-/// prefilter let through, then keeps the prefilter only if the exact work
-/// it is expected to save per call exceeds its per-call cost.
-struct PrefilterGateState {
-    bool live = false;         ///< prefilter hooks still consulted
-    bool calibrating = false;  ///< inside the timing window
-    std::size_t calls = 0;
-    std::size_t rejects = 0;
-    std::size_t exact_decisions = 0;
-    double prefilter_seconds = 0.0;
-    double exact_seconds = 0.0;
-
-    static constexpr std::size_t kWindow = 384;       ///< prefilter-call samples
-    static constexpr std::size_t kMinExact = 16;      ///< exact-decision samples
-    static constexpr std::size_t kForceSettle = 1536; ///< settle even if starved
-
-    void maybe_settle(GreedyStats& stats) {
-        if (calls < kWindow) return;
-        if (exact_decisions < kMinExact && calls < kForceSettle) return;
-        calibrating = false;
-        if (exact_decisions == 0) return;  // everything rejected: clearly paying off
-        const double avg_prefilter = prefilter_seconds / static_cast<double>(calls);
-        const double avg_exact = exact_seconds / static_cast<double>(exact_decisions);
-        const double reject_rate =
-            static_cast<double>(rejects) / static_cast<double>(calls);
-        // Expected exact seconds saved per call vs seconds spent per call.
-        if (avg_prefilter > reject_rate * avg_exact) {
-            live = false;
-            stats.prefilter_gated_off = 1;
-        }
-    }
 };
 
 /// Refresh economics of the landmark table, knob-free. A refresh costs
@@ -181,8 +147,8 @@ GreedyEngine::GreedyEngine(std::size_t n, GreedyEngineOptions options,
 }
 
 void GreedyEngine::init() {
-    if (!(options_.stretch >= 1.0)) {
-        throw std::invalid_argument("GreedyEngine: stretch must be >= 1");
+    if (!(options_.stretch >= 1.0) || !std::isfinite(options_.stretch)) {
+        throw std::invalid_argument("GreedyEngine: stretch must be finite and >= 1");
     }
     options_.validate();
     workers_ = ThreadPool::resolve_workers(options_.num_threads);
@@ -205,6 +171,11 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h,
                 "GreedyEngine::run: candidates must be sorted by weight");
         }
     }
+    // Sorted, so the heaviest threshold is the last one.
+    if (!candidates.empty() && !std::isfinite(options_.stretch * candidates.back().weight)) {
+        throw std::invalid_argument(
+            "GreedyEngine::run: stretch * weight overflows to a non-finite threshold");
+    }
     GreedyStats local;
     SpanCandidateFeed feed(candidates, options_.bucket_ratio);
     Graph out(0);
@@ -226,11 +197,12 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h, CandidateChunkSource& source,
     if (h.num_vertices() != n_) {
         throw std::invalid_argument("GreedyEngine::run: vertex count mismatch");
     }
-    // Sortedness is validated incrementally as chunks arrive (the stream
-    // throws on a contract violation), including across chunk boundaries.
+    // Sortedness and finite thresholds are validated incrementally as
+    // chunks arrive (the stream throws on a contract violation), including
+    // across chunk boundaries.
     GreedyStats local;
     ChunkedCandidateStream feed(source, buffer, options_.bucket_ratio,
-                                options_.chunk_soft_cap);
+                                options_.chunk_soft_cap, options_.stretch);
     Graph out(0);
     if (options_.csr_snapshot) {
         IncrementalAdapter adapter;
@@ -302,20 +274,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     const auto probe_work = [&] { return ws.total_work() + ws_pool.total_work(); };
     std::size_t bucket_work_mark = probe_work();
 
-    PrefilterGateState gate;
-    const bool have_serial_pf = static_cast<bool>(options_.prefilter);
-    const bool have_concurrent_pf =
-        parallel && static_cast<bool>(options_.concurrent_prefilter);
-    gate.live = have_serial_pf || static_cast<bool>(options_.concurrent_prefilter);
-    // kAdaptive calibrates on the *serial* hook's timings, so while the
-    // window is open the insertion loop consults the serial prefilter even
-    // when a concurrent variant exists; stage 2 takes the oracle over only
-    // after it survives calibration. A concurrent-only installation has
-    // nothing to time and runs ungated.
-    gate.calibrating =
-        gate.live && have_serial_pf &&
-        options_.prefilter_gate == GreedyEngineOptions::PrefilterGate::kAdaptive;
-
     std::uint64_t insert_epoch = 1;  // bumped on every accepted edge
     // Ball-reuse scope marker. Balls may only answer candidates whose
     // bounds the ball's harvest actually wrote, and harvests cover one
@@ -375,7 +333,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         // is a full build exactly once per run (then a free no-op: the
         // view mirrors every insertion at O(degree) as it happens).
         adapter.snapshot(h);
-        if (options_.on_bucket) options_.on_bucket(h, bucket.lo);
         if (landmark_rule.live) {
             const std::size_t work_now = probe_work();
             const std::size_t cost = landmarks.refresh_cost(2 * h.num_edges());
@@ -388,8 +345,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             bucket_work_mark = work_now;
         }
 
-        // The thin stage-2 -> stage-3 handoff: one Weight slot and two
-        // verdict bits per candidate, all bucket-local. Bounds die with
+        // The thin stage-2 -> stage-3 handoff: one Weight slot and one
+        // verdict bit per candidate, all bucket-local. Bounds die with
         // the bucket by design -- cross-bucket persistence is the
         // sketch's job, in O(n) instead of O(m).
         if (track_bounds) bound.assign(bucket.size(), kInfiniteWeight);
@@ -464,17 +421,14 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         ++batch_seq;
 
         // Whether stage 2 runs is keyed on the previous batch's accept
-        // rate, and never during the prefilter gate's calibration window
-        // (calibration times the *serial* economics; stage-2 probes would
-        // hollow out the exact decisions it measures and double-consult
-        // the oracle). Accept-predicted batches skip stage 2 entirely:
-        // their snapshot facts would die on the first insertion. The
+        // rate. Accept-predicted batches skip stage 2 entirely: their
+        // snapshot facts would die on the first insertion. The
         // decision is a pure function of the greedy decisions, hence
         // identical at every thread count. The incremental view is exact
         // right now either way -- there is no refreeze to pay, only the
         // probe work itself to gate.
-        const bool run_stage2 = parallel && !gate.calibrating &&
-                                last_accept_rate <= options_.parallel_accept_gate;
+        const bool run_stage2 =
+            parallel && last_accept_rate <= options_.parallel_accept_gate;
         // Stage 2 consults the landmark table for every candidate of the
         // batch, and the table only changes at bucket boundaries: a
         // serial consult after it could never reject anything new.
@@ -510,9 +464,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             ctx.snapshot_epoch = snapshot_epoch;
             ctx.sketch = use_sketch ? &sketch : nullptr;
             ctx.landmarks = landmarks.ready() ? &landmarks : nullptr;
-            ctx.oracle = (have_concurrent_pf && gate.live && !gate.calibrating)
-                             ? &options_.concurrent_prefilter
-                             : nullptr;
             prefilter_stage.run_batch(*pool_, ws_pool, adapter.view(), ctx, bound,
                                       ball_bucket, ball_epoch, ball_radius, stats);
         }
@@ -533,41 +484,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             // This candidate is decided this iteration, whichever path runs.
             if (sharing) groups.decrement_remaining(anchor);
 
-            if (parallel && prefilter_stage.oracle_reject(i)) {
-                ++stats.prefilter_rejects;
-                continue;
-            }
-            if (have_serial_pf && gate.live &&
-                (!have_concurrent_pf || gate.calibrating)) {
-                bool rejected;
-                if (gate.calibrating) {
-                    const Timer call_timer;
-                    rejected = options_.prefilter(c.u, c.v, threshold);
-                    gate.prefilter_seconds += call_timer.seconds();
-                    ++gate.calls;
-                    if (rejected) ++gate.rejects;
-                    gate.maybe_settle(stats);
-                } else {
-                    rejected = options_.prefilter(c.u, c.v, threshold);
-                }
-                if (rejected) {
-                    ++stats.prefilter_rejects;
-                    continue;
-                }
-            }
-            // Calibration samples for the measured-cost gate: the cost of
-            // deciding a candidate the prefilter let through (cache hits
-            // included -- an oracle reject only saves whatever the decision
-            // would actually have cost).
-            std::optional<Timer> decide_timer;
-            if (gate.calibrating) decide_timer.emplace();
-            const auto record_exact = [&] {
-                if (decide_timer) {
-                    gate.exact_seconds += decide_timer->seconds();
-                    ++gate.exact_decisions;
-                }
-            };
-
             bool accept = false;
             if (track_bounds && bound[li] <= threshold) {
                 // A realizable witness path no heavier than the threshold
@@ -580,14 +496,12 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     sketch.record_upper(c.u, c.v, bound[li]);
                     sketch.record_upper(c.v, c.u, bound[li]);
                 }
-                record_exact();
                 continue;
             }
             if (use_sketch && sketch.upper_bound(c.u, c.v) <= threshold) {
                 // Cross-bucket cache hit: an earlier bucket's exact query
                 // already certified a witness path for this pair.
                 ++stats.sketch_hits;
-                record_exact();
                 continue;
             }
             if (use_sketch) {
@@ -606,7 +520,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     ++stats.coarse_rejects;
                     sketch.record_upper(c.u, c.v, via);
                     sketch.record_upper(c.v, c.u, via);
-                    record_exact();
                     continue;
                 }
             }
@@ -620,7 +533,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     ++stats.landmark_rejects;
                     sketch.record_upper(c.u, c.v, lm);
                     sketch.record_upper(c.v, c.u, lm);
-                    record_exact();
                     continue;
                 }
             }
@@ -843,7 +755,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                 accept = d > threshold;
                 if (!accept) sk_pair_exact(c.u, c.v, d);
             }
-            record_exact();
             if (!accept) continue;
 
             const EdgeId id = h.add_edge(c.u, c.v, c.weight);

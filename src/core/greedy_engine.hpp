@@ -57,14 +57,11 @@
 // path, where a warm build pays zero pool/workspace construction
 // (counter-verified by the session-reuse bench probe).
 //
-// Callers with scale-dependent side structures (the approximate-greedy
-// cluster oracle) hook the bucket boundary via `on_bucket` and may install
-// a reject-only `prefilter` (serial) and/or `concurrent_prefilter`
-// (consulted from stage-2 workers) before any exact machinery.
+// Every candidate is decided by the engine's own sound bounds (harvested,
+// sketched, landmark) or by an exact probe.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -84,41 +81,11 @@
 namespace gsp {
 
 /// Engine configuration: the shared tuning block (see engine_tuning.hpp)
-/// plus the per-run stretch and the caller hooks only this layer can
-/// express. Field access is flat (`options.bidirectional`) -- the base
-/// class is a layering device, not an indirection.
+/// plus the per-run stretch and the group mechanism the source states.
+/// Field access is flat (`options.bidirectional`) -- the base class is a
+/// layering device, not an indirection.
 struct GreedyEngineOptions : EngineTuning {
-    double stretch = 2.0;  ///< t >= 1
-
-    /// Optional sound reject-only fast path, consulted first for every
-    /// candidate: return true only if a realizable witness path of length
-    /// <= threshold is known (e.g. the cluster-graph oracle). Must never
-    /// reject a candidate the exact test would keep.
-    std::function<bool(VertexId u, VertexId v, Weight threshold)> prefilter;
-
-    /// Concurrent variant of `prefilter` for the parallel stage, invoked as
-    /// (worker, u, v, threshold) with worker < num_workers(). Must be safe
-    /// to call from distinct workers simultaneously (give each worker its
-    /// own scratch, e.g. ClusterGraph::QueryScratch). When unset, the
-    /// serial `prefilter` still runs in the insertion loop.
-    std::function<bool(std::size_t worker, VertexId u, VertexId v, Weight threshold)>
-        concurrent_prefilter;
-
-    /// Economics of the prefilter hooks. ROADMAP measured the cluster
-    /// oracle as a ~0.5x *slowdown* under the bidirectional engine, so
-    /// installing a prefilter no longer implies trusting it: kAdaptive
-    /// times a calibration window (serial path) and gates the prefilter
-    /// off for the rest of the run if its per-call cost exceeds the exact
-    /// work it saves; kAlways is the explicit opt-in that trusts the hook
-    /// unconditionally.
-    enum class PrefilterGate { kAdaptive, kAlways };
-    PrefilterGate prefilter_gate = PrefilterGate::kAdaptive;
-
-    /// Called on entering each weight bucket, after the spanner reflects
-    /// every decision of earlier buckets: rebuild scale-dependent helpers
-    /// here. `bucket_lo` is the weight of the bucket's first candidate.
-    /// Always invoked from the serial thread, before stage 2 fans out.
-    std::function<void(const Graph& h, Weight bucket_lo)> on_bucket;
+    double stretch = 2.0;  ///< t >= 1, finite
 
     /// Cell-batched grouping, installed by GridCandidateSource (whose
     /// cell representatives are exactly the hubs SourceGroups' anchored
@@ -198,7 +165,10 @@ public:
     GreedyEngine(std::size_t n, GreedyEngineOptions options, EngineResources& resources);
 
     /// Run the greedy loop: candidates must be sorted by non-decreasing
-    /// weight (the caller fixes tie order -- the engine preserves it).
+    /// weight (the caller fixes tie order -- the engine preserves it), and
+    /// every threshold stretch * weight must be finite: an unreachable
+    /// pair's distance is +Inf, which a +Inf threshold would not exceed.
+    /// Violations throw std::invalid_argument before any decision.
     /// Decisions are appended to `h`, which carries any pre-seeded edges
     /// (the approximate-greedy E0 set); returns the final spanner.
     /// `*stats` is overwritten with this run's counters (never additive).
@@ -209,18 +179,15 @@ public:
     /// `buffer` (the caller-owned reusable chunk buffer -- a session passes
     /// its materialization buffer) instead of requiring the full sorted
     /// array. The source must honor the CandidateChunkSource ordering
-    /// contract (validated as chunks arrive; violations throw). The edge
-    /// set is bit-identical to the materializing overload for the same
-    /// candidate sequence, at every chunk size and thread count.
+    /// contract and the finite-threshold rule above (both validated as
+    /// chunks arrive; violations throw). The edge set is bit-identical to
+    /// the materializing overload for the same candidate sequence, at
+    /// every chunk size and thread count.
     GSP_SERIAL_ONLY Graph run(Graph h, CandidateChunkSource& source,
                               std::vector<GreedyCandidate>& buffer,
                               GreedyStats* stats = nullptr);
 
     [[nodiscard]] const GreedyEngineOptions& options() const { return options_; }
-
-    /// Resolved worker count (>= 1): what `concurrent_prefilter` will be
-    /// called with, and how many scratches a concurrent hook needs.
-    [[nodiscard]] std::size_t num_workers() const { return workers_; }
 
 private:
     void init();  ///< shared constructor tail: validation + pool acquisition

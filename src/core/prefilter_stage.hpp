@@ -1,12 +1,12 @@
 // Stage 2 of the greedy pipeline: the parallel reject-only prefilter.
 //
-// Within one batch every expensive pass of the engine -- the optional
-// cluster-oracle lookup, the bound-sketch consult, and the bounded
-// (bi)directional distance probe -- is *read-only* over the batch-start
-// spanner: the serialized insertion loop has not run yet, so the
-// incremental view is immutable for the whole stage. That is the structure
-// (after Alewijnse et al.'s bucketed greedy designs) that makes candidate
-// prefiltering embarrassingly parallel: workers fan out over source groups
+// Within one batch every expensive pass of the engine -- the bound-sketch
+// and landmark consults, and the bounded (bi)directional distance probe --
+// is *read-only* over the batch-start spanner: the serialized insertion
+// loop has not run yet, so the incremental view is immutable for the
+// whole stage. That is the structure (after Alewijnse et al.'s bucketed
+// greedy designs) that makes candidate prefiltering embarrassingly
+// parallel: workers fan out over source groups
 // (or fixed blocks when ball sharing is off), each with its own
 // DijkstraWorkspace, and record per-candidate facts that are sound
 // *forever*:
@@ -20,13 +20,13 @@
 //
 // The stage-2 -> stage-3 handoff is deliberately *thin* (the memory-wall
 // fix for metric workloads, where m = n^2 candidates): verdicts travel as
-// two packed bitsets (one oracle-reject bit, one far-at-snapshot bit per
-// candidate) and bounds as one bucket-local Weight slot addressed by the
-// same bucket-local u32 indices SourceGroups hands out -- one bit + one
-// u32 of addressing per candidate instead of per-candidate verdict/bound
-// structs sized to the whole run. Bitset words are shared between tasks,
-// so verdict writes are relaxed atomic fetch_or; the final word value is
-// an OR of task-owned bits and therefore schedule-independent.
+// one packed bitset (a far-at-snapshot bit per candidate) and bounds as
+// one bucket-local Weight slot addressed by the same bucket-local u32
+// indices SourceGroups hands out -- one bit + one u32 of addressing per
+// candidate instead of per-candidate verdict/bound structs sized to the
+// whole run. Bitset words are shared between tasks, so verdict writes are
+// relaxed atomic fetch_or; the final word value is an OR of task-owned
+// bits and therefore schedule-independent.
 //
 // Determinism: tasks are claimed dynamically for load balance, but every
 // recorded fact lands in a task-owned slot (groups own disjoint candidate
@@ -39,7 +39,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -73,7 +72,7 @@ struct PrefilterContext {
     /// Cell-batched grouping is active (the grid source): groups key on
     /// two-sided anchors (a member's probe target is its non-anchor
     /// endpoint, not always `.v`) and a group with enough undecided
-    /// members after the sketch/oracle pass drains one cell ball. Every
+    /// members after the sketch pass drains one cell ball. Every
     /// other group with >= 2 undecided members is decided by ONE batched
     /// traversal through the PrefilterKernel seam. The kernel's verdicts
     /// are exact on the same view, and both gates (undecided counts) are
@@ -94,12 +93,9 @@ struct PrefilterContext {
     /// bucket boundaries). Null when the sketch is off or the table has
     /// not been filled yet this run.
     const LandmarkTable* landmarks = nullptr;
-    /// Optional concurrent reject-only oracle (worker, u, v, threshold);
-    /// null when unset or gated off.
-    const std::function<bool(std::size_t, VertexId, VertexId, Weight)>* oracle = nullptr;
 };
 
-/// Owns the packed verdict bitsets and per-worker counters. One instance
+/// Owns the packed verdict bitset and per-worker counters. One instance
 /// per GreedyEngine, reused across runs.
 class PrefilterStage {
 public:
@@ -111,20 +107,15 @@ public:
         if (kernels_.size() < workers) kernels_.resize(workers);
     }
 
-    /// Size and zero the verdict bitsets for one bucket (bucket-local bit
+    /// Size and zero the verdict bitset for one bucket (bucket-local bit
     /// per candidate; batches of the bucket write disjoint bit ranges).
     GSP_SERIAL_ONLY void begin_bucket(const CandidateBucket& bucket) {
         base_ = bucket.begin;
-        const std::size_t words = (bucket.size() + 63) / 64;
-        oracle_bits_.assign(words, 0);
-        far_bits_.assign(words, 0);
+        far_bits_.assign((bucket.size() + 63) / 64, 0);
     }
 
-    /// Verdict reads for the serialized insertion loop (global candidate
+    /// Verdict read for the serialized insertion loop (global candidate
     /// index; called strictly after the batch's fan-out joined).
-    [[nodiscard]] bool oracle_reject(std::size_t i) const {
-        return test(oracle_bits_, i - base_);
-    }
     [[nodiscard]] bool far_at_snapshot(std::size_t i) const {
         return test(far_bits_, i - base_);
     }
@@ -134,7 +125,7 @@ public:
     /// of the run, independent of what earlier (larger) runs left behind
     /// in a warm session's buffers.
     [[nodiscard]] std::size_t verdict_bytes() const {
-        return (oracle_bits_.size() + far_bits_.size()) * sizeof(std::uint64_t);
+        return far_bits_.size() * sizeof(std::uint64_t);
     }
 
     /// Fan one batch out over the pool. `bounds` collects realizable-path
@@ -200,7 +191,7 @@ private:
 
     template <class View>
     GSP_HOT_PATH void probe_one(DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
-                   const PrefilterContext& ctx, std::size_t worker, std::uint32_t local,
+                   const PrefilterContext& ctx, std::uint32_t local,
                    std::vector<Weight>& bounds);
 
     /// Consult the cross-bucket sketch (and the landmark table) for one
@@ -248,8 +239,7 @@ private:
         return false;
     }
 
-    std::size_t base_ = 0;                   ///< bucket begin of the bitsets
-    std::vector<std::uint64_t> oracle_bits_; ///< oracle certified a witness path
+    std::size_t base_ = 0;                   ///< bucket begin of the bitset
     std::vector<std::uint64_t> far_bits_;    ///< probe exceeded threshold at snapshot
     std::vector<WorkerCounters> counters_;
     std::vector<PrefilterKernel> kernels_;   ///< per-worker gather scratch
@@ -277,8 +267,8 @@ GSP_SERIAL_ONLY void PrefilterStage::run_batch(
             const std::size_t first = ctx.batch.begin + task * kBlock;
             const std::size_t last = std::min(first + kBlock, ctx.batch.end);
             for (std::size_t i = first; i < last; ++i) {
-                probe_one(ws, wc, view, ctx, worker,
-                          static_cast<std::uint32_t>(i - ctx.base), bounds);
+                probe_one(ws, wc, view, ctx, static_cast<std::uint32_t>(i - ctx.base),
+                          bounds);
             }
         }
     });
@@ -312,22 +302,13 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         return cands[ctx.base + local];
     };
 
-    // Cheap certificate passes first (mirror the serial loop's
-    // consult-before-exact order): the cross-bucket sketch, then the
-    // oracle; candidates they decide need no probe at all.
+    // Cheap certificate pass first (mirrors the serial loop's
+    // consult-before-exact order): the cross-bucket sketch and the
+    // landmark table; candidates they decide need no probe at all.
     std::size_t undecided = grp.size();
     for (std::uint32_t local : grp) {
         const GreedyCandidate& c = cand_at(local);
-        const Weight threshold = ctx.stretch * c.weight;
-        if (sketch_decides(ctx, local, c, threshold, bounds, wc)) {
-            --undecided;
-            continue;
-        }
-        if (ctx.oracle != nullptr &&
-            (*ctx.oracle)(worker, c.u, c.v, threshold)) {
-            set_bit(oracle_bits_, local);
-            --undecided;
-        }
+        if (sketch_decides(ctx, local, c, ctx.stretch * c.weight, bounds, wc)) --undecided;
     }
     if (undecided == 0) return;
 
@@ -338,14 +319,12 @@ GSP_HOT_PATH void PrefilterStage::process_group(
     // full-radius ball's area. A singleton group keeps the point probe
     // below (meet-in-the-middle beats a one-sided traversal when there is
     // nothing to amortize). The gate reads only task-owned state
-    // (sketch/oracle verdicts of this group), so it is schedule-free.
+    // (sketch verdicts of this group), so it is schedule-free.
     if (!ctx.anchored && undecided >= 2) {
         BatchedProbe& probe = ws.batched();
         const auto is_undecided = [&](std::uint32_t local) {
-            if (oracle_reject(ctx.base + local) || far_at_snapshot(ctx.base + local)) {
-                return false;
-            }
-            return bounds[local] > ctx.stretch * cand_at(local).weight;
+            return !far_at_snapshot(ctx.base + local) &&
+                   bounds[local] > ctx.stretch * cand_at(local).weight;
         };
         const PrefilterKernel::Outcome outcome = kernels_[worker].decide_group(
             probe, view, source, cands, ctx.base, grp, ctx.stretch, is_undecided,
@@ -373,7 +352,6 @@ GSP_HOT_PATH void PrefilterStage::process_group(
         ++wc.balls_computed;
         ++wc.cell_balls;
         for (std::uint32_t local : grp) {
-            if (oracle_reject(ctx.base + local)) continue;
             const GreedyCandidate& c = cand_at(local);
             // The drained ball decides every member at the snapshot:
             // settled targets get their exact distance as a bound,
@@ -393,7 +371,7 @@ GSP_HOT_PATH void PrefilterStage::process_group(
 
     for (std::size_t g = 0; g < grp.size(); ++g) {
         const std::uint32_t local = grp[g];
-        if (oracle_reject(ctx.base + local) || far_at_snapshot(ctx.base + local)) continue;
+        if (far_at_snapshot(ctx.base + local)) continue;
         const GreedyCandidate& c = cand_at(local);
         const VertexId other = SourceGroups::other_of(c, source);
         const Weight threshold = ctx.stretch * c.weight;
@@ -421,15 +399,11 @@ GSP_HOT_PATH void PrefilterStage::process_group(
 template <class View>
 GSP_HOT_PATH void PrefilterStage::probe_one(
     DijkstraWorkspace& ws, WorkerCounters& wc, const View& view,
-                               const PrefilterContext& ctx, std::size_t worker,
-                               std::uint32_t local, std::vector<Weight>& bounds) {
+                               const PrefilterContext& ctx, std::uint32_t local,
+                               std::vector<Weight>& bounds) {
     const GreedyCandidate& c = ctx.candidates[ctx.base + local];
     const Weight threshold = ctx.stretch * c.weight;
     if (sketch_decides(ctx, local, c, threshold, bounds, wc)) return;
-    if (ctx.oracle != nullptr && (*ctx.oracle)(worker, c.u, c.v, threshold)) {
-        set_bit(oracle_bits_, local);
-        return;
-    }
     ++wc.dijkstra_runs;
     const Weight d = ctx.bidirectional
                          ? ws.distance_bidirectional(view, c.u, c.v, threshold)

@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/greedy.hpp"
@@ -142,6 +144,47 @@ TEST(GreedyEngineTest, RejectsUnsortedCandidates) {
     EXPECT_THROW(engine.run(Graph(3), unsorted), std::invalid_argument);
 }
 
+/// Serves a fixed candidate list in chunks of at most `size`.
+class FixedChunks final : public CandidateChunkSource {
+public:
+    FixedChunks(std::vector<GreedyCandidate> all, std::size_t size)
+        : all_(std::move(all)), size_(size) {}
+
+    bool next_chunk(std::size_t, std::vector<GreedyCandidate>& out) override {
+        if (next_ == all_.size()) return false;
+        const std::size_t end = std::min(next_ + size_, all_.size());
+        out.insert(out.end(), all_.begin() + static_cast<std::ptrdiff_t>(next_),
+                   all_.begin() + static_cast<std::ptrdiff_t>(end));
+        next_ = end;
+        return true;
+    }
+
+private:
+    std::vector<GreedyCandidate> all_;
+    std::size_t size_;
+    std::size_t next_ = 0;
+};
+
+TEST(GreedyEngineTest, RejectsNonFiniteThresholds) {
+    // An unreachable pair's distance is +Inf, and +Inf <= +Inf: a threshold
+    // that overflows would silently reject every edge it guards. Both the
+    // span and the chunked entry points refuse such input up front; only
+    // the last (heaviest) candidate's threshold needs to overflow.
+    GreedyEngineOptions opts;
+    opts.stretch = 2.0;
+    GreedyEngine engine(3, opts);
+    const std::vector<GreedyCandidate> overflow = {{0, 1, 1.0}, {1, 2, 9e307}};
+    EXPECT_THROW(engine.run(Graph(3), overflow), std::invalid_argument);
+    std::vector<GreedyCandidate> buffer;
+    FixedChunks chunks(overflow, 1);
+    EXPECT_THROW(engine.run(Graph(3), chunks, buffer), std::invalid_argument);
+    // The largest weight whose threshold stays finite is accepted.
+    const std::vector<GreedyCandidate> fine = {{0, 1, 1.0}, {1, 2, 8e307}};
+    EXPECT_EQ(engine.run(Graph(3), fine).num_edges(), 2u);
+    FixedChunks fine_chunks(fine, 1);
+    EXPECT_EQ(engine.run(Graph(3), fine_chunks, buffer).num_edges(), 2u);
+}
+
 TEST(GreedyEngineTest, RejectsBadOptions) {
     GreedyEngineOptions bad_stretch;
     bad_stretch.stretch = 0.5;
@@ -149,6 +192,9 @@ TEST(GreedyEngineTest, RejectsBadOptions) {
     GreedyEngineOptions nan_stretch;
     nan_stretch.stretch = std::numeric_limits<double>::quiet_NaN();
     EXPECT_THROW(GreedyEngine(3, nan_stretch), std::invalid_argument);
+    GreedyEngineOptions inf_stretch;
+    inf_stretch.stretch = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(GreedyEngine(3, inf_stretch), std::invalid_argument);
     GreedyEngineOptions bad_ratio;
     bad_ratio.bucket_ratio = 1.0;
     EXPECT_THROW(GreedyEngine(3, bad_ratio), std::invalid_argument);
@@ -163,35 +209,6 @@ TEST(GreedyEngineTest, RejectsBadOptions) {
     GreedyEngineOptions bad_ways;
     bad_ways.sketch_ways = 3;
     EXPECT_THROW(GreedyEngine(3, bad_ways), std::invalid_argument);
-}
-
-TEST(GreedyEngineTest, PrefilterOnlyShortCircuitsNeverChangesOutput) {
-    // A sound reject-only prefilter (here: exact distances on the live
-    // spanner, computed independently) must not change any decision.
-    Rng rng(33);
-    const Graph g = erdos_renyi(50, 0.25, {.lo = 0.5, .hi = 3.0}, rng);
-    const double t = 1.8;
-
-    std::size_t rejects = 0;
-    const Graph* live = nullptr;
-    GreedyEngineOptions options;
-    options.stretch = t;
-    options.on_bucket = [&](const Graph& h, Weight) { live = &h; };
-    options.prefilter = [&](VertexId u, VertexId v, Weight threshold) {
-        DijkstraWorkspace ws(live->num_vertices());
-        // NOTE: `live` lags intra-bucket insertions, so distances measured
-        // on it are upper bounds on the current spanner distance - sound.
-        if (ws.distance(*live, u, v, threshold) <= threshold) {
-            ++rejects;
-            return true;
-        }
-        return false;
-    };
-    GreedyStats stats;
-    const Graph h = run_with(g, options, &stats);
-    EXPECT_TRUE(same_edge_set(h, greedy_spanner(g, t)));
-    EXPECT_EQ(stats.prefilter_rejects, rejects);
-    EXPECT_GT(rejects, 0u);
 }
 
 /// Thread counts the issue names: serial, small, oversubscribed, hardware
@@ -389,69 +406,6 @@ TEST(ParallelEngineTest, BallsNeverLeakAcrossBatchBoundaries) {
                 << "seed " << seed << " batch " << batch;
         }
     }
-}
-
-TEST(ParallelEngineTest, ConcurrentPrefilterRejectsSoundly) {
-    // A sound concurrent oracle (exact distances on a copy of the
-    // bucket-start spanner, one workspace per worker) must not change any
-    // decision, and its rejects must be counted deterministically.
-    Rng rng(33);
-    const Graph g = erdos_renyi(60, 0.25, {.lo = 0.5, .hi = 3.0}, rng);
-    const double t = 1.8;
-
-    GreedyEngineOptions options;
-    options.stretch = t;
-    options.num_threads = 3;
-    options.parallel_accept_gate = 1.0;  // stage 2 (and its oracle) every batch
-    options.prefilter_gate = GreedyEngineOptions::PrefilterGate::kAlways;
-    auto frozen = std::make_shared<Graph>(0);
-    options.on_bucket = [frozen](const Graph& h, Weight) { *frozen = h; };
-    auto oracle_ws = std::make_shared<std::vector<DijkstraWorkspace>>(3);
-    options.concurrent_prefilter = [frozen, oracle_ws](std::size_t worker, VertexId u,
-                                                       VertexId v, Weight threshold) {
-        // `frozen` lags intra-bucket insertions, so its distances are upper
-        // bounds on the current spanner distance -- sound reject evidence.
-        return (*oracle_ws)[worker].distance(*frozen, u, v, threshold) <= threshold;
-    };
-    GreedyStats stats;
-    const Graph h = run_with(g, options, &stats);
-    EXPECT_TRUE(same_edge_set(h, greedy_spanner(g, t)));
-    EXPECT_GT(stats.prefilter_rejects, 0u);
-
-    GreedyStats again;
-    (void)run_with(g, options, &again);
-    EXPECT_EQ(stats.prefilter_rejects, again.prefilter_rejects);
-}
-
-TEST(ParallelEngineTest, AdaptiveGateDisablesAWastefulPrefilter) {
-    // A prefilter that never rejects anything is pure overhead; the
-    // measured-cost gate must switch it off mid-run (and must not change
-    // the output, since a never-rejecting filter decides nothing).
-    Rng rng(19);
-    const Graph g = random_graph_nm(400, 4000, {.lo = 1.0, .hi = 2.0}, rng);
-    std::size_t calls = 0;
-    GreedyEngineOptions options;
-    options.stretch = 2.0;
-    options.prefilter = [&calls](VertexId, VertexId, Weight) {
-        ++calls;
-        // Burn enough work that the gate's timing window sees a real cost.
-        volatile double sink = 0.0;
-        for (int i = 0; i < 2000; ++i) sink = sink + static_cast<double>(i);
-        return false;
-    };
-    GreedyStats stats;
-    const Graph h = run_with(g, options, &stats);
-    EXPECT_TRUE(same_edge_set(h, greedy_spanner(g, 2.0)));
-    EXPECT_EQ(stats.prefilter_gated_off, 1u);
-    EXPECT_LT(calls, g.num_edges());  // stopped consulting it mid-run
-
-    // kAlways is the explicit opt-in that bypasses the gate.
-    calls = 0;
-    options.prefilter_gate = GreedyEngineOptions::PrefilterGate::kAlways;
-    GreedyStats always_stats;
-    (void)run_with(g, options, &always_stats);
-    EXPECT_EQ(always_stats.prefilter_gated_off, 0u);
-    EXPECT_EQ(calls, g.num_edges());
 }
 
 TEST(GreedyEngineTest, SeededSpannerEdgesAreRespected) {
