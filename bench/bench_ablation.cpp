@@ -1,4 +1,4 @@
-// Ablations of this implementation's own design choices (DESIGN.md §2.3),
+// Ablations of this implementation's own design choices,
 // so each engineering decision is backed by a measurement:
 //   A. Farshi-Gudmundsson distance cache in the metric greedy
 //      (identical output -- how much time does it actually save?);

@@ -7,7 +7,7 @@
 //   * lightness and degree: flat in n;
 //   * stretch: measured (sampled) <= 1 + eps.
 // The 2D base spanner is a theta graph with a practical cone count; the
-// stretch column certifies the measured behaviour (DESIGN.md §2.3).
+// stretch column certifies the measured behaviour.
 #include <cmath>
 #include <iostream>
 #include <vector>

@@ -139,15 +139,14 @@ UniformGrid2D::UniformGrid2D(const EuclideanMetric& m, double separation)
     }
 }
 
-void UniformGrid2D::collect_window(double lo, double hi, std::vector<GreedyCandidate>* out,
-                                   std::size_t* count) const {
-    if (levels_.empty() || !(lo < hi)) return;
+std::size_t UniformGrid2D::collect_window(double lo, double hi,
+                                          std::vector<GreedyCandidate>& out,
+                                          std::size_t limit) const {
+    std::size_t count = 0;
+    if (levels_.empty() || !(lo < hi)) return count;
     const auto emit = [&](VertexId u, VertexId v, double w) {
-        if (out != nullptr) {
-            out->push_back(GreedyCandidate{u, v, w});
-        } else {
-            ++*count;
-        }
+        ++count;
+        if (out.size() < limit) out.push_back(GreedyCandidate{u, v, w});
     };
 
     // Each pair's weight is m_.distance's own sqrt(dx*dx + dy*dy) on the
@@ -213,6 +212,7 @@ void UniformGrid2D::collect_window(double lo, double hi, std::vector<GreedyCandi
             push_pair(lv.rep[a], lv.rep[b], consume_far);
         });
     }
+    return count;
 }
 
 GreedyCandidate UniformGrid2D::covering_candidate(VertexId i, VertexId j) const {
@@ -237,8 +237,12 @@ GreedyCandidate UniformGrid2D::covering_candidate(VertexId i, VertexId j) const 
 GridChunkSource::GridChunkSource(const UniformGrid2D& grid, std::size_t soft_cap_hint)
     : grid_(&grid),
       cap_(std::max<std::size_t>(4 * soft_cap_hint, std::size_t{1} << 18)) {
-    window_floor_ = grid.near_cutoff() > 0.0 ? grid.near_cutoff() * 0x1p-20 : 1.0;
-    boundary_ = window_floor_;
+    // Boundaries are near_cutoff * 2^k from near_cutoff / 8 up. Finer
+    // windows would each rescan every level-0 near cell pair (their band
+    // reaches down to 0) for few or no candidates, so they merge into the
+    // first window [0, near_cutoff / 8), which splits like any other.
+    sliver_floor_ = grid.near_cutoff() * 0x1p-20;
+    boundary_ = grid.near_cutoff() * 0x1p-3;
     done_ = grid.levels().empty();
 }
 
@@ -248,21 +252,23 @@ bool GridChunkSource::advance_window() {
             done_ = true;
             break;
         }
-        // Split the geometric window until its candidate count fits the
-        // memory cap (arithmetic midpoint: deterministic, and the sweep
-        // stays an exact partition of the weight axis). A sliver that
-        // cannot shrink further is an equal-weight mass; serve it whole.
+        // Collect the geometric window up to the memory cap; while its
+        // full count overflows the cap, halve it and collect again
+        // (arithmetic midpoint: deterministic, and the sweep stays an
+        // exact partition of the weight axis). A sliver that cannot shrink
+        // further is an equal-weight mass; collect it whole.
         double hi = boundary_;
         for (;;) {
-            std::size_t count = 0;
-            grid_->collect_window(lo_, hi, nullptr, &count);
-            if (count <= cap_) break;
-            if (hi - lo_ <= std::max(lo_, window_floor_) * 1e-12) break;
+            scratch_.clear();
+            if (grid_->collect_window(lo_, hi, scratch_, cap_) <= cap_) break;
+            if (hi - lo_ <= std::max(lo_, sliver_floor_) * 1e-12) {
+                scratch_.clear();
+                (void)grid_->collect_window(lo_, hi, scratch_);
+                break;
+            }
             hi = lo_ + (hi - lo_) * 0.5;
         }
-        scratch_.clear();
         served_ = 0;
-        grid_->collect_window(lo_, hi, &scratch_, nullptr);
         // Chunk finalization: LSD radix on the (weight, u, v) key --
         // byte-identical ordering to the comparison sort it replaced
         // (simd/radix_sort.hpp carries the proof sketch), at O(n) instead

@@ -30,21 +30,24 @@
 // stretch wspd_greedy_stretch_bound(t, s) = t (s + 4) / (s - 4), s > 4.
 //
 // Ordered, memory-bounded emission (GridChunkSource): sweep geometric
-// weight windows [lo, hi) from below the smallest near distance to past
-// the bounding-box diagonal. Per window, every level enumerates only the
-// cell pairs whose min_boxdist could place a candidate weight inside the
-// window (weight w of a cell pair obeys mb <= w <= mb + 4 r_l); the
-// window's candidates are sorted by the source tie rule (weight, u, v),
-// deduplicated, and served in soft_cap slices. A window whose candidate
-// count would blow the memory cap is halved (deterministically, by
-// arithmetic midpoint) until it fits -- peak candidate memory is bounded
-// by the cap regardless of how weights cluster. Nothing outside the
-// current window is ever resident, and far pairs are never touched at
-// all: the whole structure is O(n) ids + O(occupied cells) per level.
+// weight windows [lo, hi) -- a first window [0, near_cutoff / 8), then
+// [near_cutoff * 2^k, near_cutoff * 2^(k+1)) -- up to the bounding-box
+// diagonal. Per window, every level enumerates only the cell pairs whose
+// min_boxdist could place a candidate weight inside the window (weight w
+// of a cell pair obeys mb <= w <= mb + 4 r_l); the window's candidates are
+// sorted by the source tie rule (weight, u, v), deduplicated, and served
+// in soft_cap slices. Each window is scanned once, collecting at most the
+// memory cap while counting everything: a window whose count comes back
+// over the cap is halved (deterministically, by arithmetic midpoint) and
+// rescanned until it fits -- peak candidate memory is bounded by the cap
+// regardless of how weights cluster. Nothing outside the current window
+// is ever resident, and far pairs are never touched at all: the whole
+// structure is O(n) ids + O(occupied cells) per level.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "core/candidate_stream.hpp"
@@ -88,12 +91,15 @@ public:
     /// Upper bound on any pairwise distance (the bounding-box diagonal).
     [[nodiscard]] double max_distance_bound() const { return dmax_; }
 
-    /// Append every candidate of the window [lo, hi) -- near point pairs
-    /// and ring representative pairs with weight in the window, duplicates
-    /// and all, unsorted. With `out` null, only counts into `*count`
-    /// (the splitting pre-pass). The two modes enumerate identically.
-    void collect_window(double lo, double hi, std::vector<GreedyCandidate>* out,
-                        std::size_t* count) const;
+    /// Enumerate every candidate of the window [lo, hi) -- near point
+    /// pairs and ring representative pairs with weight in the window,
+    /// duplicates and all, unsorted -- appending each to `out` while
+    /// out.size() < limit. Returns the window's full candidate count,
+    /// appended or not, so a caller that collected up to a cap learns in
+    /// the same scan whether the window overflowed it.
+    [[nodiscard]] std::size_t collect_window(
+        double lo, double hi, std::vector<GreedyCandidate>& out,
+        std::size_t limit = std::numeric_limits<std::size_t>::max()) const;
 
     /// The candidate guaranteed to cover pair (i, j): the pair itself when
     /// near, otherwise its assigned level's representative pair. The
@@ -133,9 +139,12 @@ private:
 
     const UniformGrid2D* grid_;
     std::size_t cap_;
-    double window_floor_;  ///< first geometric boundary above the zero window
+    /// Lower clamp of the sliver test's scale, near_cutoff * 2^-20: a
+    /// window narrower than max(lo, floor) * 1e-12 is an equal-weight mass
+    /// and is served whole even over the cap.
+    double sliver_floor_;
     double lo_ = 0.0;
-    double boundary_;      ///< next geometric boundary (floor * 2^k)
+    double boundary_;      ///< next geometric boundary (near_cutoff * 2^k)
     bool done_ = false;
     std::vector<GreedyCandidate> scratch_;  ///< the one resident window
     std::size_t served_ = 0;

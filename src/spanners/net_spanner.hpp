@@ -11,7 +11,9 @@
 //     to a descendant of that endpoint a few net levels down (distance to
 //     the delegate is O(eps) * edge length, so stretch survives). This is
 //     the CGMZ-style rerouting that turns the net-tree spanner into a
-//     bounded-degree one; see DESIGN.md §2.3 for the exact claim we test.
+//     bounded-degree one. tests/net_spanner_test.cpp checks the claim as
+//     tested: stretch <= 1 + eps, and a max degree that does not grow in
+//     proportion to n (MaxDegreeIsIndependentOfN).
 #pragma once
 
 #include <cstddef>

@@ -12,6 +12,10 @@
 //  * a greedy build over the source audits within
 //    wspd_greedy_stretch_bound(t, s) of the full metric;
 //  * the registry entry wires it all up ("greedy-grid");
+//  * a window collect with a limit appends a prefix of the unlimited
+//    collect and still counts the whole window;
+//  * windows over the memory cap are split, and the split sweep still
+//    concatenates to the one-shot sorted, deduplicated collect;
 //  * the radix sorter that finalizes each chunk reproduces
 //    std::stable_sort byte for byte (memcmp), including tie-heavy and
 //    signed-zero weights.
@@ -211,6 +215,78 @@ TEST(GridSourceTest, DegenerateInputs) {
 
 constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+bool same_candidates(const GreedyCandidate* a, const GreedyCandidate* b, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+        if (a[i].u != b[i].u || a[i].v != b[i].v || a[i].weight != b[i].weight) return false;
+    }
+    return true;
+}
+
+TEST(GridSourceTest, LimitedCollectIsAPrefixAndCountsTheWholeWindow) {
+    Rng rng(17);
+    const EuclideanMetric pts = uniform_points(200, 2, 30.0, rng);
+    const UniformGrid2D grid(pts, 6.0);
+    std::vector<GreedyCandidate> all;
+    const std::size_t k = grid.collect_window(0.0, kInf, all);
+    ASSERT_EQ(all.size(), k);
+    ASSERT_GT(k, 2u);
+    for (const std::size_t limit : {std::size_t{0}, std::size_t{1}, k / 2, k, k + 1}) {
+        std::vector<GreedyCandidate> out;
+        EXPECT_EQ(grid.collect_window(0.0, kInf, out, limit), k) << "limit=" << limit;
+        ASSERT_EQ(out.size(), std::min(limit, k)) << "limit=" << limit;
+        EXPECT_TRUE(same_candidates(out.data(), all.data(), out.size())) << "limit=" << limit;
+    }
+}
+
+TEST(GridSourceTest, SplitWindowsMatchOneShotReference) {
+    // ~1.07M candidates: several geometric windows overflow the 2^18 cap.
+    Rng rng(4099);
+    const EuclideanMetric pts = uniform_points(4096, 2, 100.0, rng);
+    const UniformGrid2D grid(pts, 12.0);
+    constexpr std::size_t kCap = std::size_t{1} << 18;
+
+    // Lattice window of a weight: 0 below near_cutoff / 8, then one per
+    // doubling -- the boundaries the sweep splits inside, never across.
+    const auto lattice_window = [&](double w) {
+        std::size_t idx = 0;
+        for (double b = grid.near_cutoff() * 0x1p-3; w >= b; b *= 2.0) ++idx;
+        return idx;
+    };
+
+    // An unlimited soft cap serves each (possibly split) window whole.
+    GridChunkSource source(grid);
+    std::vector<GreedyCandidate> streamed;
+    std::vector<GreedyCandidate> chunk;
+    std::vector<std::size_t> chunks_per_window;
+    while (source.next_chunk(std::numeric_limits<std::size_t>::max(), chunk)) {
+        ASSERT_FALSE(chunk.empty());
+        EXPECT_LE(chunk.size(), kCap);
+        const std::size_t win = lattice_window(chunk.front().weight);
+        EXPECT_EQ(lattice_window(chunk.back().weight), win) << "window straddles a boundary";
+        if (chunks_per_window.size() <= win) chunks_per_window.resize(win + 1, 0);
+        ++chunks_per_window[win];
+        streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+        chunk.clear();
+    }
+    EXPECT_TRUE(std::any_of(chunks_per_window.begin(), chunks_per_window.end(),
+                            [](std::size_t c) { return c > 1; }))
+        << "no window was split";
+
+    std::vector<GreedyCandidate> want;
+    (void)grid.collect_window(0.0, kInf, want);
+    std::stable_sort(want.begin(), want.end(),
+                     [](const GreedyCandidate& a, const GreedyCandidate& b) {
+                         return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
+                     });
+    want.erase(std::unique(want.begin(), want.end(),
+                           [](const GreedyCandidate& a, const GreedyCandidate& b) {
+                               return a.weight == b.weight && a.u == b.u && a.v == b.v;
+                           }),
+               want.end());
+    ASSERT_EQ(streamed.size(), want.size());
+    EXPECT_TRUE(same_candidates(streamed.data(), want.data(), want.size()));
+}
 
 TEST(RadixSortTest, RadixSortByteIdenticalToStableSort) {
     Rng rng(53);
