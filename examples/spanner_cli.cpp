@@ -189,7 +189,8 @@ int main(int argc, char** argv) {
                           << report.stats.coarse_rejects << " coarse rejects, "
                           << report.stats.landmark_rejects << " landmark rejects ("
                           << report.stats.landmark_refreshes << " refreshes), "
-                          << report.stats.dijkstra_runs << " dijkstra runs\n";
+                          << report.stats.dijkstra_runs << " dijkstra runs, "
+                          << report.stats.probe_pushes << " probe pushes\n";
             }
             if (args.repeat > 1) {
                 // Warm re-builds through the same session: the first call

@@ -18,6 +18,7 @@ void append_greedy_stats(JsonWriter& w, const GreedyStats& stats) {
     w.member("landmark_refreshes", stats.landmark_refreshes);
     w.member("landmark_rejects", stats.landmark_rejects);
     w.member("bidirectional_meets", stats.bidirectional_meets);
+    w.member("probe_pushes", stats.probe_pushes);
     w.member("snapshot_accepts", stats.snapshot_accepts);
     w.member("group_probes", stats.group_probes);
     w.member("group_probe_decisions", stats.group_probe_decisions);

@@ -36,6 +36,10 @@ struct GreedyStats {
                                           ///< incremental store: one per run, not per bucket)
     std::size_t csr_compactions = 0;      ///< incremental-CSR arena compactions
     std::size_t bidirectional_meets = 0;  ///< improving frontier-meet events
+    std::size_t probe_pushes = 0;         ///< heap pushes of every probe (point
+                                          ///< queries, balls, group probes) in
+                                          ///< either stage; landmark refreshes
+                                          ///< excluded
     std::size_t buckets = 0;              ///< weight buckets processed
 
     // Pipeline counters (zero when the parallel prefilter stage is off).

@@ -272,7 +272,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     LandmarkRefreshRule landmark_rule;
     landmark_rule.live = use_sketch;
     const auto probe_work = [&] { return ws.total_work() + ws_pool.total_work(); };
-    std::size_t bucket_work_mark = probe_work();
+    const std::size_t work_before = probe_work();
+    std::size_t bucket_work_mark = work_before;
 
     std::uint64_t insert_epoch = 1;  // bumped on every accepted edge
     // Ball-reuse scope marker. Balls may only answer candidates whose
@@ -795,6 +796,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     }
     stats.bidirectional_meets =
         ws.meet_events() + ws_pool.total_meet_events() - meets_before;
+    stats.probe_pushes = probe_work() - work_before;
     stats.csr_rebuilds = adapter.rebuilds();
     stats.csr_compactions = adapter.compactions();
     stats.candidates_streamed = feed.streamed();

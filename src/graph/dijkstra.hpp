@@ -9,13 +9,19 @@
 //      costs O(touched) instead of O(n) to reset;
 //   3. a *bidirectional* variant that grows two frontiers meeting near
 //      limit/2 -- on bounded-growth instances the settled ball shrinks
-//      superlinearly versus the one-sided search.
+//      superlinearly versus the one-sided search. Each frontier is also
+//      bounded by the other: a label that cannot reach the other root
+//      within the limit (counting the other heap's radius) is never
+//      pushed, and on weight-sorted adjacency runs a scan stops at the
+//      first such neighbor.
 //
 // The query methods are templated over the adjacency view so the same code
 // runs on the mutable `Graph`, on frozen `CsrOverlayView` snapshots, and on
 // the engine's gap-buffered `IncrementalCsrView` (the probe entry points the
 // greedy pipeline feeds them). A view must provide `num_vertices()` and
-// `neighbors(v)` yielding a range of `HalfEdge`.
+// `neighbors(v)` yielding a range of `HalfEdge`; a view whose every run is
+// nondecreasing in weight declares `static constexpr bool
+// kWeightSortedRuns = true` (see kHasWeightSortedRuns).
 #pragma once
 
 #include <algorithm>
@@ -30,6 +36,12 @@
 #include "util/dary_heap.hpp"
 
 namespace gsp {
+
+/// True iff view type G declares every `neighbors(v)` run nondecreasing in
+/// weight. distance_bidirectional then cuts a run's scan short; the
+/// property is a compile-time fact of the view type, never a runtime flag.
+template <class G>
+inline constexpr bool kHasWeightSortedRuns = requires { requires G::kWeightSortedRuns; };
 
 /// Reusable state for repeated Dijkstra runs over graphs with the same
 /// vertex count. Not thread-safe; use one workspace per thread (the
@@ -52,9 +64,32 @@ public:
     /// As `distance`, but grows forward and backward frontiers that meet in
     /// the middle: each side settles a ball of radius ~limit/2, which is a
     /// superlinear shrink of the touched set on bounded-growth instances.
+    ///
+    /// Each side prunes by what the other frontier proves. `best` is the
+    /// shortest s-target path seen so far.
+    ///  * Push prune (any view): relaxing y at label nd writes the label
+    ///    and checks the meet as usual, then skips the heap push when
+    ///    nd + tau > limit or nd + tau >= best, tau being the other heap's
+    ///    minimum key. Sound: a vertex the other side has settled was
+    ///    already caught by the meet check, and one it has not settled is
+    ///    at least tau from the other root. Labels are still written, so
+    ///    meets and last_forward_bound / last_backward_bound stay lengths
+    ///    of realizable paths.
+    ///  * Scan cutoff (views with kHasWeightSortedRuns): let phi be the
+    ///    weight of the other root's lightest edge once that root has been
+    ///    expanded, 0 before. The scan of a popped vertex's run stops at
+    ///    the first neighbor with nd + phi > limit or nd + phi >= best;
+    ///    later entries are no lighter. Sound: every y other than the
+    ///    other root is at least phi from it. An edge into the other root
+    ///    itself was already relaxed from that root's side when the root
+    ///    was expanded, or it lies on a path longer than `limit` or no
+    ///    shorter than `best`: a non-root x is at least its own root's phi
+    ///    from that root. (Each root is its side's first pop, and s is
+    ///    expanded first of all, with phi = 0.)
     /// Caveat: the returned value sums the two half-path lengths, which may
     /// reassociate floating-point addition relative to the one-sided sweep
-    /// (differences are confined to the last ulp).
+    /// (differences are confined to the last ulp; the prunes' comparisons
+    /// are monotone under rounding and fall in the same class).
     template <class G>
     Weight distance_bidirectional(const G& g, VertexId s, VertexId target, Weight limit);
 
@@ -147,7 +182,6 @@ private:
     // cannot tolerate. begin_query resets everything a query may read.
     void begin_query();
     [[nodiscard]] bool seen(VertexId v) const { return stamp_[v] == current_; }
-    [[nodiscard]] bool seen_b(VertexId v) const { return stamp_b_[v] == current_; }
 
     struct QueueItem {
         Weight dist;
@@ -157,16 +191,14 @@ private:
         }
     };
 
-    void push_fwd(Weight d, VertexId v) {
-        heap_.push({d, v});
-        peak_hint_ = std::max(peak_hint_, heap_.size());
+    using Heap = DaryHeap<QueueItem, 4>;
+
+    void push_to(Heap& heap, Weight d, VertexId v) {
+        heap.push({d, v});
+        peak_hint_ = std::max(peak_hint_, heap.size());
         ++last_work_;
     }
-    void push_bwd(Weight d, VertexId v) {
-        heap_b_.push({d, v});
-        peak_hint_ = std::max(peak_hint_, heap_b_.size());
-        ++last_work_;
-    }
+    void push_fwd(Weight d, VertexId v) { push_to(heap_, d, v); }
 
     // Forward-search state (the only set used by one-sided queries).
     std::vector<Weight> dist_;
@@ -178,8 +210,8 @@ private:
     std::vector<std::uint64_t> stamp_b_;
 
     std::uint64_t current_ = 0;
-    DaryHeap<QueueItem, 4> heap_;
-    DaryHeap<QueueItem, 4> heap_b_;
+    Heap heap_;
+    Heap heap_b_;
     std::size_t peak_hint_ = 0;  ///< max heap occupancy seen; reserve() hint
     std::size_t meets_ = 0;
     std::size_t last_work_ = 0;
@@ -268,75 +300,63 @@ Weight DijkstraWorkspace::distance_bidirectional(const G& g, VertexId s, VertexI
     stamp_[s] = current_;
     dist_b_[target] = 0.0;
     stamp_b_[target] = current_;
-    push_fwd(0.0, s);
-    push_bwd(0.0, target);
+    push_to(heap_, 0.0, s);
+    push_to(heap_b_, 0.0, target);
 
     Weight best = kInfiniteWeight;
+    // The other root's lightest edge, once that root has been expanded
+    // (0 before): phi_f bounds forward scans (target's edge), phi_b
+    // backward scans (s's edge). Only sorted runs read them.
+    Weight phi_f = 0.0;
+    Weight phi_b = 0.0;
+    const std::uint64_t cur = current_;
     // Expand the side with the smaller tentative radius; stop once the two
     // radii certify that no undiscovered path can beat `best` (Nicholson's
-    // criterion) or fit under `limit`.
+    // criterion) or fit under `limit`. One loop body serves both sides:
+    // it scans the popped side's labels against the other side's. Every
+    // label write checks the meet, so best never exceeds the two labels'
+    // sum at a vertex both sides labeled.
     while (!heap_.empty() && !heap_b_.empty()) {
         const Weight tf = heap_.min().dist;
         const Weight tb = heap_b_.min().dist;
         if (tf + tb >= best || tf + tb > limit) break;
-        if (tf <= tb) {
-            const QueueItem top = heap_.pop_min();
-            if (top.dist > dist_[top.vertex]) continue;  // stale
-            if (seen_b(top.vertex)) {
-                const Weight through = top.dist + dist_b_[top.vertex];
+        const bool forward = tf <= tb;
+        Heap& heap = forward ? heap_ : heap_b_;
+        Weight* dist = forward ? dist_.data() : dist_b_.data();
+        std::uint64_t* stamp = forward ? stamp_.data() : stamp_b_.data();
+        const Weight* other_dist = forward ? dist_b_.data() : dist_.data();
+        const std::uint64_t* other_stamp = forward ? stamp_b_.data() : stamp_.data();
+        const Weight tau = forward ? tb : tf;
+        const Weight phi = forward ? phi_f : phi_b;
+
+        const QueueItem top = heap.pop_min();
+        if (top.dist > dist[top.vertex]) continue;  // stale
+        const auto run = g.neighbors(top.vertex);
+        if constexpr (kHasWeightSortedRuns<G>) {
+            // A root is its side's first pop: publish its lightest edge.
+            if (top.vertex == (forward ? s : target) && !run.empty()) {
+                (forward ? phi_b : phi_f) = run.front().weight;
+            }
+        }
+        for (const HalfEdge& h : run) {
+            const Weight nd = top.dist + h.weight;
+            if constexpr (kHasWeightSortedRuns<G>) {
+                if (nd + phi > limit || nd + phi >= best) break;
+            } else {
+                if (nd > limit) continue;
+            }
+            if (stamp[h.to] == cur && nd >= dist[h.to]) continue;
+            stamp[h.to] = cur;
+            dist[h.to] = nd;
+            if (other_stamp[h.to] == cur) {
+                const Weight through = nd + other_dist[h.to];
                 if (through < best) {
                     best = through;
                     ++meets_;
                 }
             }
-            for (const HalfEdge& h : g.neighbors(top.vertex)) {
-                const Weight nd = top.dist + h.weight;
-                if (nd > limit) continue;
-                const bool fresh = !seen(h.to);
-                if (fresh || nd < dist_[h.to]) {
-                    if (fresh) {
-                        stamp_[h.to] = current_;
-                    }
-                    dist_[h.to] = nd;
-                    push_fwd(nd, h.to);
-                    if (seen_b(h.to)) {
-                        const Weight through = nd + dist_b_[h.to];
-                        if (through < best) {
-                            best = through;
-                            ++meets_;
-                        }
-                    }
-                }
-            }
-        } else {
-            const QueueItem top = heap_b_.pop_min();
-            if (top.dist > dist_b_[top.vertex]) continue;  // stale
-            if (seen(top.vertex)) {
-                const Weight through = top.dist + dist_[top.vertex];
-                if (through < best) {
-                    best = through;
-                    ++meets_;
-                }
-            }
-            for (const HalfEdge& h : g.neighbors(top.vertex)) {
-                const Weight nd = top.dist + h.weight;
-                if (nd > limit) continue;
-                const bool fresh = !seen_b(h.to);
-                if (fresh || nd < dist_b_[h.to]) {
-                    if (fresh) {
-                        stamp_b_[h.to] = current_;
-                    }
-                    dist_b_[h.to] = nd;
-                    push_bwd(nd, h.to);
-                    if (seen(h.to)) {
-                        const Weight through = nd + dist_[h.to];
-                        if (through < best) {
-                            best = through;
-                            ++meets_;
-                        }
-                    }
-                }
-            }
+            if (nd + tau > limit || nd + tau >= best) continue;
+            push_to(heap, nd, h.to);
         }
     }
     return best <= limit ? best : kInfiniteWeight;

@@ -32,6 +32,9 @@ bool IncrementalCsrView::refresh(const Graph& g) {
     for (VertexId v = 0; v < n; ++v) {
         HalfEdge* out = arena_.data() + start_[v];
         for (const HalfEdge& h : g.neighbors(v)) out[len_[v]++] = h;
+        std::stable_sort(out, out + len_[v], [](const HalfEdge& a, const HalfEdge& b) {
+            return a.weight < b.weight;
+        });
     }
     dead_ = 0;
     live_half_edges_ = 2 * g.num_edges();
@@ -61,7 +64,12 @@ void IncrementalCsrView::add_edge(VertexId u, VertexId v, Weight w, EdgeId id) {
 
 void IncrementalCsrView::append_half(VertexId v, const HalfEdge& h) {
     if (len_[v] == cap_[v]) relocate(v, len_[v] + 1);
-    arena_[start_[v] + len_[v]] = h;
+    // Insertion-sort step: heavier entries shift up one slot, so the run
+    // stays sorted by weight and equal weights keep their mirror order.
+    HalfEdge* run = arena_.data() + start_[v];
+    std::uint32_t i = len_[v];
+    for (; i > 0 && run[i - 1].weight > h.weight; --i) run[i] = run[i - 1];
+    run[i] = h;
     ++len_[v];
 }
 

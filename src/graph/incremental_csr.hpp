@@ -14,6 +14,16 @@
 // cost amortized O(1), and `neighbors` stays a single contiguous span --
 // the property the Dijkstra kernel's scan loop is built around.
 //
+// Every run is also kept sorted by weight (ties in mirror order), the
+// `kWeightSortedRuns` trait that lets the bidirectional kernel stop a scan
+// at the first neighbor too heavy to matter. `refresh` stable-sorts each
+// run; `add_edge` places the new entry by shifting heavier entries up one
+// slot, insertion-sort style. The greedy engine inserts in candidate
+// order, which is nondecreasing in weight, so on its path the shift moves
+// nothing and an insert stays O(1); it costs O(degree) only after an
+// unsorted seed (e.g. greedy-approx's E0 edges). Relocation and compaction
+// copy runs in order.
+//
 // Thread-safety matches CsrOverlayView: all const members read only
 // immutable-between-mutations state, so any number of threads may query
 // concurrently as long as no thread is inside `refresh`/`add_edge`. The
@@ -36,6 +46,9 @@ namespace gsp {
 /// path) and `add_edge` for every edge appended to g afterwards.
 class IncrementalCsrView {
 public:
+    /// Every neighbors(v) run is nondecreasing in weight.
+    static constexpr bool kWeightSortedRuns = true;
+
     IncrementalCsrView() = default;
 
     /// Synchronize with g: a full O(n + m) rebuild with fresh slack when
@@ -46,8 +59,10 @@ public:
 
     /// Mirror one undirected edge appended to the underlying graph since
     /// the last refresh (id must be the Graph edge id so predecessor-edge
-    /// reporting agrees across views). Amortized O(1); worst case
-    /// O(degree) for a run relocation plus an amortized arena compaction.
+    /// reporting agrees across views). Amortized O(1) when w is no lighter
+    /// than the endpoints' runs; otherwise O(degree) to keep them sorted.
+    /// Worst case O(degree) for a run relocation plus an amortized arena
+    /// compaction.
     void add_edge(VertexId u, VertexId v, Weight w, EdgeId id);
 
     [[nodiscard]] std::size_t num_vertices() const { return start_.size(); }

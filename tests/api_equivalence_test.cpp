@@ -46,6 +46,7 @@ void expect_stats_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.csr_rebuilds, b.csr_rebuilds) << label;
     EXPECT_EQ(a.csr_compactions, b.csr_compactions) << label;
     EXPECT_EQ(a.bidirectional_meets, b.bidirectional_meets) << label;
+    EXPECT_EQ(a.probe_pushes, b.probe_pushes) << label;
     EXPECT_EQ(a.buckets, b.buckets) << label;
     EXPECT_EQ(a.snapshot_accepts, b.snapshot_accepts) << label;
     EXPECT_EQ(a.sketch_hits, b.sketch_hits) << label;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/incremental_csr.hpp"
 #include "graph/shortest_paths.hpp"
 #include "util/random.hpp"
 
@@ -212,6 +216,148 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, BidirectionalPropertyTest,
                          ::testing::Combine(::testing::Values(2u, 9u, 31u),
                                             ::testing::Values(20u, 45u),
                                             ::testing::Values(0.08, 0.3)));
+
+// The same kernel on a weight-sorted view (IncrementalCsrView), where the
+// scan of a run also stops at the first neighbor too heavy to matter.
+
+/// Exact distances from `root` on any view: a drained one-sided ball.
+template <class View>
+std::vector<Weight> exact_from(const View& view, VertexId root) {
+    DijkstraWorkspace ws(view.num_vertices());
+    (void)ws.ball(view, root, kInfiniteWeight);
+    std::vector<Weight> d(view.num_vertices());
+    for (VertexId x = 0; x < d.size(); ++x) d[x] = ws.settled_distance(x);
+    return d;
+}
+
+/// distance_bidirectional on `view` against one-sided `distance` on `ref`
+/// (the same edges in any order, exact-sum weights), for every target of
+/// the first `sources` sources, at limits {d, nextafter(d, -inf), 3, 8,
+/// +inf}. Every finite harvested bound must be the length of a real path:
+/// at least the exact distance from its root.
+template <class Ref, class View>
+void expect_bidirectional_matches(const Ref& ref, const View& view, std::size_t sources,
+                                  const std::string& label) {
+    const std::size_t n = ref.num_vertices();
+    DijkstraWorkspace one(n);
+    DijkstraWorkspace two(n);
+    for (VertexId s = 0; s < std::min(n, sources); ++s) {
+        const std::vector<Weight> from_s = exact_from(ref, s);
+        for (VertexId t = 0; t < n; ++t) {
+            const std::vector<Weight> from_t = exact_from(ref, t);
+            const Weight d = from_s[t];
+            std::vector<Weight> limits = {3.0, 8.0, kInfiniteWeight};
+            if (d != kInfiniteWeight) {
+                limits.push_back(d);
+                limits.push_back(std::nextafter(d, -kInfiniteWeight));
+            }
+            for (const Weight limit : limits) {
+                const std::string at = label + " " + std::to_string(s) + "->" +
+                                       std::to_string(t) + " limit " + std::to_string(limit);
+                const Weight want = one.distance(ref, s, t, limit);
+                const Weight got = two.distance_bidirectional(view, s, t, limit);
+                EXPECT_EQ(got, want) << at;
+                if (s == t) continue;  // answered before any search: no labels
+                for (VertexId x = 0; x < n; ++x) {
+                    const Weight fb = two.last_forward_bound(x);
+                    const Weight bb = two.last_backward_bound(x);
+                    if (fb != kInfiniteWeight) {
+                        EXPECT_GE(fb, from_s[x]) << at << " x=" << x;
+                    }
+                    if (bb != kInfiniteWeight) {
+                        EXPECT_GE(bb, from_t[x]) << at << " x=" << x;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Weights in (0, 5] on a 1/8 grid: every path sum below is exact in
+/// floating point, so the two kernels must agree exactly, even at a limit
+/// of d or one ulp below it (random reals would leave last-ulp
+/// reassociation differences there, see distance_bidirectional).
+Weight dyadic_weight(Rng& rng) { return static_cast<Weight>(1 + rng.index(40)) / 8.0; }
+
+class SortedViewBidirectionalTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SortedViewBidirectionalTest, AgreesWithOneSidedSearchOnTheGraph) {
+    // Refreshed from a Graph whose adjacency is out of weight order, then
+    // grown out of order too (parallel edges included); the last vertex
+    // stays isolated.
+    Rng rng(GetParam() ^ 0x5a17);
+    const std::size_t n = 36;
+    Graph g(n + 1);
+    for (VertexId i = 0; i < n; ++i) {
+        for (VertexId j = i + 1; j < n; ++j) {
+            if (rng.chance(0.12)) g.add_edge(i, j, dyadic_weight(rng));
+        }
+    }
+    IncrementalCsrView view;
+    ASSERT_TRUE(view.refresh(g));
+    for (int k = 0; k < 40; ++k) {
+        auto u = static_cast<VertexId>(rng.index(n));
+        auto v = static_cast<VertexId>(rng.index(n));
+        if (u == v) v = (v + 1) % static_cast<VertexId>(n);
+        const EdgeId id = g.add_edge(u, v, dyadic_weight(rng));
+        view.add_edge(u, v, g.edge(id).weight, id);
+    }
+    for (int k = 0; k < 10; ++k) {  // parallel copies of existing edges
+        const Edge e = g.edge(static_cast<EdgeId>(rng.index(g.num_edges())));
+        const EdgeId id = g.add_edge(e.u, e.v, dyadic_weight(rng));
+        view.add_edge(e.u, e.v, g.edge(id).weight, id);
+    }
+    // Every source, so the isolated vertex is a source as well as a target.
+    expect_bidirectional_matches(g, view, n + 1, "random");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SortedViewBidirectionalTest,
+                         ::testing::Values(3u, 14u, 159u));
+
+TEST(SortedViewBidirectionalTest, RootsJoinedByAnEdgeHeavierThanTheirLightest) {
+    // s = 0 and t = 1 share an edge of weight 2; each root's lightest edge
+    // weighs 1. At a limit in [2, 3) the direct edge is the only path
+    // within the limit, and the cutoff must not skip it from either side.
+    Graph g(5);
+    g.add_edge(0, 1, 2.0);
+    g.add_edge(0, 2, 1.0);
+    g.add_edge(1, 3, 1.0);
+    g.add_edge(2, 4, 1.5);
+    g.add_edge(3, 4, 1.5);
+    IncrementalCsrView view;
+    ASSERT_TRUE(view.refresh(g));
+    DijkstraWorkspace ws(5);
+    for (const Weight limit : {2.0, 2.5, std::nextafter(3.0, 0.0)}) {
+        EXPECT_EQ(ws.distance_bidirectional(view, 0, 1, limit), 2.0) << limit;
+        EXPECT_EQ(ws.distance_bidirectional(view, 1, 0, limit), 2.0) << limit;
+        EXPECT_EQ(ws.distance_bidirectional(g, 0, 1, limit), 2.0) << limit;
+    }
+    EXPECT_EQ(ws.distance_bidirectional(view, 0, 1, std::nextafter(2.0, 0.0)),
+              kInfiniteWeight);
+    expect_bidirectional_matches(g, view, 5, "adjacent roots");
+}
+
+TEST(SortedViewBidirectionalTest, ZeroWeightEdges) {
+    // Graph rejects zero weights, so they are mirrored into the view only;
+    // the reference is the one-sided search on the same view.
+    Rng rng(2718);
+    const std::size_t n = 30;
+    Graph g(n);
+    for (VertexId i = 0; i < n; ++i) {
+        for (VertexId j = i + 1; j < n; ++j) {
+            if (rng.chance(0.1)) g.add_edge(i, j, dyadic_weight(rng));
+        }
+    }
+    IncrementalCsrView view;
+    ASSERT_TRUE(view.refresh(g));
+    for (int k = 0; k < 12; ++k) {
+        auto u = static_cast<VertexId>(rng.index(n));
+        auto v = static_cast<VertexId>(rng.index(n));
+        if (u == v) v = (v + 1) % static_cast<VertexId>(n);
+        view.add_edge(u, v, 0.0, static_cast<EdgeId>(g.num_edges() + k));
+    }
+    expect_bidirectional_matches(view, view, n, "zero weights");
+}
 
 // Property suite: Dijkstra agrees with Bellman-Ford and Floyd-Warshall on
 // random graphs of varied density.

@@ -273,6 +273,7 @@ TEST(ParallelEngineTest, StatsAreScheduleIndependent) {
     EXPECT_EQ(a.sketch_accepts, b.sketch_accepts);
     EXPECT_EQ(a.landmark_refreshes, b.landmark_refreshes);
     EXPECT_EQ(a.landmark_rejects, b.landmark_rejects);
+    EXPECT_EQ(a.probe_pushes, b.probe_pushes);
     EXPECT_EQ(a.csr_rebuilds, b.csr_rebuilds);
     EXPECT_EQ(a.csr_compactions, b.csr_compactions);
     EXPECT_EQ(a.handoff_peak_bytes, b.handoff_peak_bytes);

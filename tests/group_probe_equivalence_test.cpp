@@ -152,9 +152,10 @@ TEST(GroupProbeEquivalenceTest, GroupProbeCountersAreThreadCountInvariant) {
     // Stage-2 groups are task-owned and the kernel's verdicts are pure
     // functions of (view, source, targets, radii), so the group-probe
     // counters -- not just the decisions -- are a pure function of the
-    // input at every *parallel* worker count. (The serial path gates
-    // probes on its own cost model, so thread count 1 is covered by the
-    // decision-identity sweeps above, not by counter equality.)
+    // input at every *parallel* worker count, and so is the push count of
+    // all probes together. (The serial path gates probes on its own cost
+    // model, so thread count 1 is covered by the decision-identity sweeps
+    // above, not by counter equality.)
     Rng rng(909);
     const Graph g = erdos_renyi(170, 0.12, {.lo = 0.5, .hi = 3.0}, rng);
 
@@ -182,6 +183,7 @@ TEST(GroupProbeEquivalenceTest, GroupProbeCountersAreThreadCountInvariant) {
         EXPECT_EQ(report.stats.group_probe_early_exits,
                   first.stats.group_probe_early_exits)
             << label;
+        EXPECT_EQ(report.stats.probe_pushes, first.stats.probe_pushes) << label;
     }
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -130,6 +131,56 @@ TEST(IncrementalCsrTest, CompactionPreservesAdjacency) {
     }
     EXPECT_TRUE(compacted) << "threshold never fired after 3000 insertions";
     expect_matches_fresh_csr(view, g, "post-compaction");
+}
+
+TEST(IncrementalCsrTest, RunsStaySortedByWeight) {
+    // The kWeightSortedRuns contract: after a refresh from a graph whose
+    // adjacency is out of weight order, out-of-order inserts, relocations
+    // and a compaction, every run is nondecreasing in weight and still a
+    // permutation of the graph's adjacency of that vertex.
+    static_assert(IncrementalCsrView::kWeightSortedRuns);
+    Rng rng(4242);
+    const std::size_t n = 24;
+    Graph g(n);
+    for (VertexId u = 0; u < n; ++u) {
+        for (VertexId v = u + 1; v < n; ++v) {
+            if (rng.chance(0.3)) g.add_edge(u, v, rng.uniform(0.1, 3.0));
+        }
+    }
+    IncrementalCsrView view;
+    ASSERT_TRUE(view.refresh(g));
+    const auto expect_sorted_permutation = [&](const std::string& label) {
+        for (VertexId v = 0; v < n; ++v) {
+            const auto run = view.neighbors(v);
+            EXPECT_TRUE(std::is_sorted(run.begin(), run.end(),
+                                       [](const HalfEdge& a, const HalfEdge& b) {
+                                           return a.weight < b.weight;
+                                       }))
+                << label << " vertex " << v;
+            EXPECT_EQ(adjacency_of(view, v), adjacency_of(g, v)) << label << " vertex " << v;
+        }
+    };
+    expect_sorted_permutation("refresh");
+    // Inserts in random weight order, concentrated on a few hubs so runs
+    // exhaust their gaps and relocate, until a compaction fires.
+    for (int k = 0; k < 5000 && view.compactions() == 0; ++k) {
+        const auto u = static_cast<VertexId>(rng.index(4));
+        auto v = static_cast<VertexId>(rng.index(n));
+        if (u == v) v = (v + 1) % static_cast<VertexId>(n);
+        const EdgeId id = g.add_edge(u, v, rng.uniform(0.1, 3.0));
+        view.add_edge(u, v, g.edge(id).weight, id);
+    }
+    EXPECT_GT(view.relocations(), 0u);
+    ASSERT_GT(view.compactions(), 0u);
+    expect_sorted_permutation("after compaction");
+    for (int k = 0; k < 60; ++k) {  // equal weights, and lighter than any run entry
+        const auto u = static_cast<VertexId>(rng.index(n));
+        auto v = static_cast<VertexId>(rng.index(n));
+        if (u == v) v = (v + 1) % static_cast<VertexId>(n);
+        const EdgeId id = g.add_edge(u, v, k % 2 == 0 ? 1.0 : 0.01);
+        view.add_edge(u, v, g.edge(id).weight, id);
+    }
+    expect_sorted_permutation("after ties");
 }
 
 TEST(IncrementalCsrTest, DijkstraAgreesWithGraph) {

@@ -193,6 +193,10 @@ std::vector<BuildReport> check_against_naive(MakeSource make_source, double stre
         EXPECT_GT(report.stats.landmark_refreshes, 0u) << label;
         reports.push_back(report);
     }
+    // Stage 2 runs at every parallel worker count (not serially), and its
+    // probes are pure functions of the bucket-start view: the push count
+    // is schedule-free from two workers up.
+    EXPECT_EQ(reports[2].stats.probe_pushes, reports[1].stats.probe_pushes) << what;
     return reports;
 }
 
@@ -209,8 +213,11 @@ TEST(LandmarkEngineTest, LongLinkGeometricGraphMatchesNaive) {
 }
 
 TEST(LandmarkEngineTest, ErdosRenyiMatchesNaive) {
+    // n = 600: on smaller inputs the frontier-pruned point queries are too
+    // cheap for the refresh rule to buy a table, and this test must
+    // exercise one.
     Rng rng(41);
-    const Graph g = erdos_renyi(300, 0.05, {.lo = 0.5, .hi = 8.0}, rng);
+    const Graph g = erdos_renyi(600, 0.05, {.lo = 0.5, .hi = 8.0}, rng);
     check_against_naive([&] { return GraphCandidateSource(g); }, 1.8, "erdos-renyi");
 }
 
@@ -245,6 +252,8 @@ TEST(LandmarkEngineTest, WarmSessionCountsMatchFresh) {
     EXPECT_EQ(cold.stats.landmark_refreshes, warm.stats.landmark_refreshes);
     EXPECT_EQ(cold.stats.landmark_rejects, warm.stats.landmark_rejects);
     EXPECT_EQ(cold.stats.dijkstra_runs, warm.stats.dijkstra_runs);
+    EXPECT_GT(cold.stats.probe_pushes, 0u);
+    EXPECT_EQ(cold.stats.probe_pushes, warm.stats.probe_pushes);
 }
 
 TEST(LandmarkEngineTest, WarmTableNeverAnswersForALaterBuild) {
