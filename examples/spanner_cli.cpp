@@ -176,7 +176,9 @@ int main(int argc, char** argv) {
             const Graph h = registry.build(name, session, input, options, &report);
             std::cout << report.to_json() << "\n";
             // Per-phase timing breakdown: where the wall clock went and
-            // what the cell-batched reject path amortized away.
+            // what the cell-batched reject path amortized away; then the
+            // edge digest, equal across builds with identical edge
+            // sequences.
             {
                 const double us =
                     report.candidates > 0
@@ -190,7 +192,9 @@ int main(int argc, char** argv) {
                           << report.stats.landmark_rejects << " landmark rejects ("
                           << report.stats.landmark_refreshes << " refreshes), "
                           << report.stats.dijkstra_runs << " dijkstra runs, "
-                          << report.stats.probe_pushes << " probe pushes\n";
+                          << report.stats.probe_pushes << " probe pushes; "
+                          << h.num_edges() << " edges, digest " << std::hex
+                          << edge_sequence_digest(h) << std::dec << "\n";
             }
             if (args.repeat > 1) {
                 // Warm re-builds through the same session: the first call

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """gsp_lint: the project's invariant linter.
 
-One checker per contract annotation in src/util/annotations.hpp, plus two
-global checks; the static-analysis CI job (and the lint_test CTest entry)
+One checker per contract annotation in src/util/annotations.hpp, plus a
+global check; the static-analysis CI job (and the lint_test CTest entry)
 run it at zero findings over src/.
 
 Checks
@@ -24,9 +24,10 @@ Checks
                        commutative verdict-bitset code of
                        src/core/prefilter_stage.hpp; every other use needs
                        an explicit suppression arguing commutativity.
-  gsp-no-fma           std::fma / FMA intrinsics are banned under src/simd/
-                       and inside GSP_DECISION_PURE functions: a contracted
-                       arm breaks kForced == kScalar bit-identity.
+  gsp-no-fma           std::fma / FMA intrinsics are banned inside
+                       GSP_DECISION_PURE functions: a fused multiply-add
+                       rounds once where the -ffp-contract=off build rounds
+                       twice, so decisions would depend on the compiler.
 
 Suppressions
 ------------
@@ -485,21 +486,11 @@ def check_decision_pure(functions) -> list[Finding]:
     return out
 
 
-def check_no_fma(functions, sources) -> list[Finding]:
+def check_no_fma(functions) -> list[Finding]:
     out = []
     for fn in functions:
         if fn.macro == "GSP_DECISION_PURE":
             out.extend(body_scan(fn, "gsp-no-fma", FMA_DENY))
-    for src in sources:
-        if "/simd/" not in src.path.resolve().as_posix():
-            continue
-        for pattern, why in FMA_DENY:
-            for m in pattern.finditer(src.code):
-                line = src.line_of(m.start())
-                out.append(Finding(src.path, line, "gsp-no-fma",
-                                   f"{why} under src/simd/ (kernels must stay "
-                                   "mul-then-add for kForced==kScalar bit-identity)",
-                                   src.line_text(line)))
     return out
 
 
@@ -672,7 +663,7 @@ def main(argv: list[str]) -> int:
 
     findings += check_hot_path(functions)
     findings += check_decision_pure(functions)
-    findings += check_no_fma(functions, sources)
+    findings += check_no_fma(functions)
     findings += check_serial_only(functions, sources)
     findings += check_epoch_guarded(fields, sources)
     findings += check_relaxed_atomic(sources)

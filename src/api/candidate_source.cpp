@@ -6,9 +6,9 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "api/session.hpp"
+#include "core/candidate_order.hpp"
 #include "spanners/net_spanner.hpp"
 #include "spanners/theta_graph.hpp"
 #include "util/timer.hpp"
@@ -69,36 +69,36 @@ void GraphCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
 void MetricCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
     const std::size_t n = m_.size();
     if (n < 2) return;
-    const std::size_t base = out.size();
-    out.reserve(base + n * (n - 1) / 2);
     const auto* e2 = dynamic_cast<const EuclideanMetric*>(&m_);
-    if (e2 != nullptr && e2->dim() == 2) {
-        // 2D Euclidean all-pairs: row i's weights d(i, i+1..n-1) in one
-        // non-virtual loop instead of n - i - 1 virtual calls. The loop is
-        // bit-exact against distance(), so the candidate list (weights
-        // and tie order) is unchanged.
-        std::vector<VertexId> ids(n);
-        for (VertexId j = 0; j < n; ++j) ids[j] = j;
-        std::vector<Weight> row(n);
-        for (VertexId i = 0; i + 1 < n; ++i) {
-            const std::span<const VertexId> tail(ids.data() + i + 1, n - i - 1);
-            e2->distances_from(i, tail, row.data());
-            for (std::size_t j = 0; j < tail.size(); ++j) {
-                out.push_back(GreedyCandidate{i, tail[j], row[j]});
-            }
-        }
-    } else {
-        for (VertexId i = 0; i < n; ++i) {
-            for (VertexId j = i + 1; j < n; ++j) {
-                out.push_back(GreedyCandidate{i, j, m_.distance(i, j)});
-            }
-        }
-    }
+    const bool rows = e2 != nullptr && e2->dim() == 2;
+    std::vector<VertexId> ids(rows ? n : 0);
+    for (VertexId j = 0; j < ids.size(); ++j) ids[j] = j;
+    std::vector<Weight> row(ids.size());
     // The metric kernel's deterministic tie order: (weight, u, v).
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-              [](const GreedyCandidate& a, const GreedyCandidate& b) {
-                  return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
-              });
+    WeightBuckets().append_ordered(
+        out,
+        [&](auto&& place) {
+            if (rows) {
+                // 2D Euclidean all-pairs: row i's weights d(i, i+1..n-1) in
+                // one non-virtual loop instead of n - i - 1 virtual calls.
+                // The loop is bit-exact against distance(), so the
+                // candidate list (weights and tie order) is unchanged.
+                for (VertexId i = 0; i + 1 < n; ++i) {
+                    const std::span<const VertexId> tail(ids.data() + i + 1, n - i - 1);
+                    e2->distances_from(i, tail, row.data());
+                    for (std::size_t j = 0; j < tail.size(); ++j) {
+                        place(GreedyCandidate{i, tail[j], row[j]});
+                    }
+                }
+                return;
+            }
+            for (VertexId i = 0; i < n; ++i) {
+                for (VertexId j = i + 1; j < n; ++j) {
+                    place(GreedyCandidate{i, j, m_.distance(i, j)});
+                }
+            }
+        },
+        ByWeightUV{});
 }
 
 WspdCandidateSource::WspdCandidateSource(const EuclideanMetric& m, double separation,
@@ -122,21 +122,20 @@ WspdCandidateSource::WspdCandidateSource(const EuclideanMetric& m, double separa
 
 void WspdCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
     if (m_.size() < 2) return;
-    const std::size_t base = out.size();
     const QuadTree tree(m_);
     const auto pairs = well_separated_pairs(tree, separation_);
-    out.reserve(base + pairs.size());
-    for (const WspdPair& p : pairs) {
-        const VertexId a = tree.node(p.a).representative;
-        const VertexId b = tree.node(p.b).representative;
-        const VertexId u = std::min(a, b);
-        const VertexId v = std::max(a, b);
-        out.push_back(GreedyCandidate{u, v, m_.distance(u, v)});
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-              [](const GreedyCandidate& a, const GreedyCandidate& b) {
-                  return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
-              });
+    WeightBuckets().append_ordered(
+        out,
+        [&](auto&& place) {
+            for (const WspdPair& p : pairs) {
+                const VertexId a = tree.node(p.a).representative;
+                const VertexId b = tree.node(p.b).representative;
+                const VertexId u = std::min(a, b);
+                const VertexId v = std::max(a, b);
+                place(GreedyCandidate{u, v, m_.distance(u, v)});
+            }
+        },
+        ByWeightUV{});
 }
 
 namespace {
@@ -146,11 +145,11 @@ namespace {
 /// permutation (12 bytes per pair -- half the materialized candidate), and
 /// partitions the pairs into geometric weight classes [wpos * 2^(c-1),
 /// wpos * 2^c) by recomputing each weight on the fly (two counting
-/// passes). Serving materializes one class at a time into a scratch
-/// vector, sorts it by the source's (weight, u, v) tie rule, and hands out
-/// soft_cap-sized slices. Because the class of a candidate is a monotone
-/// function of its weight and equal weights always share a class, the
-/// concatenation of per-class sorts is exactly the global sort --
+/// passes). Serving orders one class at a time into a scratch vector by
+/// the source's (weight, u, v) tie rule and hands out soft_cap-sized
+/// slices. Because the class of a candidate is a monotone function of its
+/// weight and equal weights always share a class, the concatenation of
+/// per-class orderings is exactly the global order --
 /// bit-identical to materialize().
 class WspdChunkSource final : public CandidateChunkSource {
 public:
@@ -214,17 +213,16 @@ public:
             const std::uint32_t begin = class_start_[next_class_];
             const std::uint32_t end = class_start_[next_class_ + 1];
             ++next_class_;
-            scratch_.reserve(end - begin);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const VertexId u = us_[order_[k]];
-                const VertexId v = vs_[order_[k]];
-                scratch_.push_back(GreedyCandidate{u, v, m_.distance(u, v)});
-            }
-            std::sort(scratch_.begin(), scratch_.end(),
-                      [](const GreedyCandidate& a, const GreedyCandidate& b) {
-                          return std::tie(a.weight, a.u, a.v) <
-                                 std::tie(b.weight, b.u, b.v);
-                      });
+            buckets_.append_ordered(
+                scratch_,
+                [&](auto&& place) {
+                    for (std::uint32_t k = begin; k < end; ++k) {
+                        const VertexId u = us_[order_[k]];
+                        const VertexId v = vs_[order_[k]];
+                        place(GreedyCandidate{u, v, m_.distance(u, v)});
+                    }
+                },
+                ByWeightUV{});
         }
         const std::size_t take =
             std::min(std::max<std::size_t>(soft_cap, 1), scratch_.size() - served_);
@@ -255,6 +253,7 @@ private:
     std::size_t next_class_ = 0;
     std::vector<GreedyCandidate> scratch_;  ///< the one resident class
     std::size_t served_ = 0;
+    WeightBuckets buckets_;
 };
 
 }  // namespace
@@ -328,29 +327,28 @@ BaseSpannerCandidateSource::BaseSpannerCandidateSource(const MetricSpace& m,
     Weight max_w = 0.0;
     for (const Edge& e : base_.edges()) max_w = std::max(max_w, e.weight);
     light_threshold_ = max_w / static_cast<double>(n);
-    for (const Edge& e : base_.edges()) {
-        if (e.weight <= light_threshold_) light_.push_back(e);
-    }
-    std::sort(light_.begin(), light_.end(), [](const Edge& a, const Edge& b) {
-        return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
-    });
+    WeightBuckets().append_ordered(
+        light_,
+        [&](auto&& place) {
+            for (const Edge& e : base_.edges()) {
+                if (e.weight <= light_threshold_) place(e);
+            }
+        },
+        ByWeightUV{});
 }
 
 void BaseSpannerCandidateSource::materialize(std::vector<GreedyCandidate>& out) {
     if (m_.size() <= 1) return;
     // The simulated candidates: G' minus E0, in the simulation's
     // historical tie order (weight, u, v) over raw endpoints.
-    const std::size_t base = out.size();
-    out.reserve(base + base_.num_edges() - light_.size());
-    for (const Edge& e : base_.edges()) {
-        if (e.weight > light_threshold_) {
-            out.push_back(GreedyCandidate{e.u, e.v, e.weight});
-        }
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(base), out.end(),
-              [](const GreedyCandidate& a, const GreedyCandidate& b) {
-                  return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
-              });
+    WeightBuckets().append_ordered(
+        out,
+        [&](auto&& place) {
+            for (const Edge& e : base_.edges()) {
+                if (e.weight > light_threshold_) place(GreedyCandidate{e.u, e.v, e.weight});
+            }
+        },
+        ByWeightUV{});
 }
 
 void BaseSpannerCandidateSource::seed(Graph& h) {

@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "graph/types.hpp"
-#include "simd/aligned.hpp"
+#include "util/aligned.hpp"
 #include "util/annotations.hpp"
 
 namespace gsp {
@@ -103,10 +103,10 @@ private:
 
     std::size_t ways_ = kDefaultWays;
     // SoA slot fields, n * ways_ each, way-indexed by source low bits.
-    simd::AlignedVector<VertexId> src_;
-    simd::AlignedVector<Weight> ub_;
-    GSP_EPOCH_GUARDED simd::AlignedVector<Weight> lo_;
-    GSP_EPOCH_GUARDED simd::AlignedVector<std::uint64_t> lo_epoch_;
+    AlignedVector<VertexId> src_;
+    AlignedVector<Weight> ub_;
+    GSP_EPOCH_GUARDED AlignedVector<Weight> lo_;
+    GSP_EPOCH_GUARDED AlignedVector<std::uint64_t> lo_epoch_;
 };
 
 }  // namespace gsp

@@ -4,9 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
+#include "core/candidate_order.hpp"
 #include "graph/incremental_csr.hpp"
 #include "metric/metric_space.hpp"
 #include "util/timer.hpp"
@@ -805,19 +805,13 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
 }
 
 void append_sorted_graph_candidates(const Graph& g, std::vector<GreedyCandidate>& out) {
-    std::vector<EdgeId> order(g.num_edges());
-    for (EdgeId i = 0; i < g.num_edges(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-        const Edge& ea = g.edge(a);
-        const Edge& eb = g.edge(b);
-        return std::make_tuple(ea.weight, std::min(ea.u, ea.v), std::max(ea.u, ea.v), a) <
-               std::make_tuple(eb.weight, std::min(eb.u, eb.v), std::max(eb.u, eb.v), b);
-    });
-    out.reserve(out.size() + order.size());
-    for (EdgeId id : order) {
-        const Edge& e = g.edge(id);
-        out.push_back(GreedyCandidate{e.u, e.v, e.weight});
-    }
+    // Edges scatter in id order, so stability supplies the id tie-break.
+    WeightBuckets().append_ordered(
+        out,
+        [&](auto&& place) {
+            for (const Edge& e : g.edges()) place(GreedyCandidate{e.u, e.v, e.weight});
+        },
+        ByWeightMinMax{});
 }
 
 std::vector<GreedyCandidate> sorted_graph_candidates(const Graph& g) {

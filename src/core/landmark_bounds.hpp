@@ -42,7 +42,7 @@
 
 #include "graph/dijkstra.hpp"
 #include "graph/types.hpp"
-#include "simd/aligned.hpp"
+#include "util/aligned.hpp"
 #include "util/annotations.hpp"
 
 namespace gsp {
@@ -102,7 +102,7 @@ private:
     std::size_t k_ = 0;
     bool ready_ = false;
     /// n * k distances, row v = the k landmark distances of vertex v.
-    simd::AlignedVector<Weight> dist_;
+    AlignedVector<Weight> dist_;
     std::vector<VertexId> landmarks_;
     // Refresh scratch, kept warm across refreshes and runs. The workspace
     // is the table's own, so refresh pushes stay out of the engine's

@@ -259,21 +259,25 @@ bool GridChunkSource::advance_window() {
         // further is an equal-weight mass; collect it whole.
         double hi = boundary_;
         for (;;) {
-            scratch_.clear();
-            if (grid_->collect_window(lo_, hi, scratch_, cap_) <= cap_) break;
+            collected_.clear();
+            if (grid_->collect_window(lo_, hi, collected_, cap_) <= cap_) break;
             if (hi - lo_ <= std::max(lo_, sliver_floor_) * 1e-12) {
-                scratch_.clear();
-                (void)grid_->collect_window(lo_, hi, scratch_);
+                collected_.clear();
+                (void)grid_->collect_window(lo_, hi, collected_);
                 break;
             }
             hi = lo_ + (hi - lo_) * 0.5;
         }
         served_ = 0;
-        // Chunk finalization: LSD radix on the (weight, u, v) key --
-        // byte-identical ordering to the comparison sort it replaced
-        // (simd/radix_sort.hpp carries the proof sketch), at O(n) instead
-        // of O(n log n) comparisons on windows that run to 2^18 entries.
-        sorter_.sort(scratch_);
+        // Chunk finalization: the shared weight-key bucketing
+        // (core/candidate_order.hpp) orders the window by (weight, u, v).
+        scratch_.clear();
+        buckets_.append_ordered(
+            scratch_,
+            [&](auto&& place) {
+                for (const GreedyCandidate& c : collected_) place(c);
+            },
+            ByWeightUV{});
         // Duplicates (a pair covered by several rings, or a near pair
         // doubling as a representative pair) share their weight, hence
         // their window: adjacent after the sort, removed completely here.

@@ -50,11 +50,11 @@
 #include <limits>
 #include <vector>
 
+#include "core/candidate_order.hpp"
 #include "core/candidate_stream.hpp"
 #include "graph/types.hpp"
 #include "metric/euclidean.hpp"
-#include "simd/aligned.hpp"
-#include "simd/radix_sort.hpp"
+#include "util/aligned.hpp"
 
 namespace gsp {
 
@@ -71,10 +71,10 @@ public:
     struct Level {
         double cell_size = 0.0;  ///< h_l
         double radius = 0.0;     ///< r_l = h_l * sqrt(2) / 2
-        simd::AlignedVector<std::uint64_t> keys;  ///< sorted (iy << 32) | ix per occupied cell
-        simd::AlignedVector<std::uint32_t> cell_start;  ///< prefix into ids (keys.size() + 1)
-        simd::AlignedVector<VertexId> ids;  ///< point ids grouped by cell, ascending within a cell
-        simd::AlignedVector<VertexId> rep;  ///< ids[cell_start[c]]: the minimum id in cell c
+        AlignedVector<std::uint64_t> keys;  ///< sorted (iy << 32) | ix per occupied cell
+        AlignedVector<std::uint32_t> cell_start;  ///< prefix into ids (keys.size() + 1)
+        AlignedVector<VertexId> ids;  ///< point ids grouped by cell, ascending within a cell
+        AlignedVector<VertexId> rep;  ///< ids[cell_start[c]]: the minimum id in cell c
     };
 
     /// `m` must be 2-dimensional; `separation` must be > 4 (the finite-
@@ -146,9 +146,10 @@ private:
     double lo_ = 0.0;
     double boundary_;      ///< next geometric boundary (near_cutoff * 2^k)
     bool done_ = false;
-    std::vector<GreedyCandidate> scratch_;  ///< the one resident window
+    std::vector<GreedyCandidate> collected_;  ///< the window as collected
+    std::vector<GreedyCandidate> scratch_;    ///< the window in order: the one served
     std::size_t served_ = 0;
-    simd::CandidateRadixSorter sorter_;  ///< chunk finalization (vs std::sort)
+    WeightBuckets buckets_;  ///< chunk finalization
 };
 
 }  // namespace gsp

@@ -53,7 +53,7 @@
 #include <vector>
 
 #include "graph/types.hpp"
-#include "simd/aligned.hpp"
+#include "util/aligned.hpp"
 #include "util/annotations.hpp"
 #include "util/bucket_queue.hpp"
 
@@ -244,11 +244,11 @@ private:
     // SoA label state, epoch-stamped for O(touched) resets; cache-line
     // aligned so the arrays never false-share with neighboring
     // allocations.
-    simd::AlignedVector<Weight> dist_;
-    simd::AlignedVector<std::uint64_t> stamp_;
+    AlignedVector<Weight> dist_;
+    AlignedVector<std::uint64_t> stamp_;
     // Per-vertex target registration (stamped) + per-slot chain links.
-    simd::AlignedVector<std::uint64_t> tgt_stamp_;
-    simd::AlignedVector<std::uint32_t> tgt_head_;
+    AlignedVector<std::uint64_t> tgt_stamp_;
+    AlignedVector<std::uint32_t> tgt_head_;
     std::vector<std::uint32_t> tgt_next_;
     // Per-slot verdicts (sized per run).
     std::vector<std::uint8_t> far_;

@@ -1,7 +1,9 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <initializer_list>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
@@ -87,6 +89,19 @@ bool same_edge_set(const Graph& a, const Graph& b) {
         return out;
     };
     return canonical(a) == canonical(b);
+}
+
+std::uint64_t edge_sequence_digest(const Graph& g) {
+    std::uint64_t h = 14695981039346656037ull;  // FNV-1a, byte by byte
+    for (const Edge& e : g.edges()) {
+        for (const std::uint64_t word : {std::uint64_t{e.u}, std::uint64_t{e.v},
+                                         std::bit_cast<std::uint64_t>(e.weight)}) {
+            for (int byte = 0; byte < 8; ++byte) {
+                h = (h ^ ((word >> (8 * byte)) & 0xffu)) * 1099511628211ull;
+            }
+        }
+    }
+    return h;
 }
 
 }  // namespace gsp

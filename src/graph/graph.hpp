@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -82,5 +83,10 @@ private:
 /// orientation, exact weight match). Both graphs must have the same vertex
 /// count. Used by the Lemma-3 fixpoint tests (greedy(greedy(G)) == greedy(G)).
 [[nodiscard]] bool same_edge_set(const Graph& a, const Graph& b);
+
+/// FNV-1a over (u, v, weight bits) of every edge in id order: a fingerprint
+/// of the exact edge sequence, orientation included, for checking that two
+/// builds (or two versions of the library) produced the same spanner.
+[[nodiscard]] std::uint64_t edge_sequence_digest(const Graph& g);
 
 }  // namespace gsp

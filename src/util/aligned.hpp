@@ -15,7 +15,7 @@
 #include <new>
 #include <vector>
 
-namespace gsp::simd {
+namespace gsp {
 
 inline constexpr std::size_t kSoAlign = 64;
 
@@ -66,4 +66,4 @@ public:
 template <class T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
-}  // namespace gsp::simd
+}  // namespace gsp

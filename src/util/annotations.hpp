@@ -6,8 +6,8 @@
 // bit-identical to the serial naive reference. The property tests and the
 // sanitizer CI legs enforce that contract *dynamically*; these macros make
 // it *static*. Each annotation names one invariant class, and
-// scripts/lint/gsp_lint.py carries one checker per annotation (plus two
-// global checks), run at zero findings by the static-analysis CI job.
+// scripts/lint/gsp_lint.py carries one checker per annotation (plus a
+// global check), run at zero findings by the static-analysis CI job.
 //
 //   GSP_HOT_PATH       The function runs inside the per-candidate /
 //                      per-edge inner loops of a warm build. No heap

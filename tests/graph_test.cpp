@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "graph/types.hpp"
 
@@ -129,6 +133,25 @@ TEST(GraphTest, SummaryMentionsCounts) {
     const std::string s = g.summary();
     EXPECT_NE(s.find("n=2"), std::string::npos);
     EXPECT_NE(s.find("m=1"), std::string::npos);
+}
+
+TEST(GraphTest, EdgeSequenceDigestTracksEveryEdgeField) {
+    const std::vector<Edge> edges = {{0, 1, 1.0}, {1, 2, 2.5}, {2, 3, 0.75}};
+    const std::uint64_t digest = edge_sequence_digest(Graph(4, edges));
+    EXPECT_EQ(digest, edge_sequence_digest(Graph(4, edges)));
+    EXPECT_NE(digest, edge_sequence_digest(Graph(4)));
+
+    std::vector<Edge> heavier = edges;
+    heavier[1].weight = std::nextafter(2.5, 3.0);  // one ulp
+    EXPECT_NE(digest, edge_sequence_digest(Graph(4, heavier)));
+
+    std::vector<Edge> flipped = edges;
+    std::swap(flipped[2].u, flipped[2].v);
+    EXPECT_NE(digest, edge_sequence_digest(Graph(4, flipped)));
+
+    std::vector<Edge> reordered = edges;
+    std::swap(reordered[0], reordered[1]);
+    EXPECT_NE(digest, edge_sequence_digest(Graph(4, reordered)));
 }
 
 }  // namespace

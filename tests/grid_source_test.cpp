@@ -15,17 +15,15 @@
 //  * a window collect with a limit appends a prefix of the unlimited
 //    collect and still counts the whole window;
 //  * windows over the memory cap are split, and the split sweep still
-//    concatenates to the one-shot sorted, deduplicated collect;
-//  * the radix sorter that finalizes each chunk reproduces
-//    std::stable_sort byte for byte (memcmp), including tie-heavy and
-//    signed-zero weights.
+//    concatenates to the one-shot sorted, deduplicated collect.
+// The ordering kernel that finalizes each window is tested on its own in
+// candidate_order_test.
 #include "api/grid_source.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <set>
 #include <tuple>
@@ -36,7 +34,6 @@
 #include "api/session.hpp"
 #include "gen/points.hpp"
 #include "geom/uniform_grid.hpp"
-#include "simd/radix_sort.hpp"
 #include "util/random.hpp"
 
 namespace gsp {
@@ -213,7 +210,6 @@ TEST(GridSourceTest, DegenerateInputs) {
                                }));
 }
 
-constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 bool same_candidates(const GreedyCandidate* a, const GreedyCandidate* b, std::size_t n) {
@@ -286,58 +282,6 @@ TEST(GridSourceTest, SplitWindowsMatchOneShotReference) {
                want.end());
     ASSERT_EQ(streamed.size(), want.size());
     EXPECT_TRUE(same_candidates(streamed.data(), want.data(), want.size()));
-}
-
-TEST(RadixSortTest, RadixSortByteIdenticalToStableSort) {
-    Rng rng(53);
-    simd::CandidateRadixSorter sorter;
-    const auto tie_less = [](const GreedyCandidate& a, const GreedyCandidate& b) {
-        return std::tie(a.weight, a.u, a.v) < std::tie(b.weight, b.u, b.v);
-    };
-    for (const std::size_t n :
-         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{777},
-          std::size_t{4096}}) {
-        std::vector<GreedyCandidate> v(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            v[i].u = static_cast<VertexId>(rng.index(200000));
-            v[i].v = static_cast<VertexId>(rng.index(0x7fffffff));
-            switch (i % 7) {
-                case 0:
-                    v[i].weight = 1.5;  // heavy tie plateau
-                    break;
-                case 1:
-                    v[i].weight = 0.0;
-                    break;
-                case 2:
-                    v[i].weight = -0.0;  // must interleave with +0.0 stably
-                    break;
-                case 3:
-                    v[i].weight = kDenormal * static_cast<double>(1 + i % 3);
-                    break;
-                case 4:
-                    v[i].weight = kInf;
-                    break;
-                default:
-                    v[i].weight = rng.uniform01() * 1e6;
-            }
-        }
-        std::vector<GreedyCandidate> want = v;
-        std::stable_sort(want.begin(), want.end(), tie_less);
-        sorter.sort(v);
-        ASSERT_EQ(v.size(), want.size());
-        // memcmp's pointers must be non-null even for zero bytes, and an
-        // empty vector's data() may be null.
-        if (n > 0) {
-            EXPECT_EQ(0, std::memcmp(v.data(), want.data(), n * sizeof(GreedyCandidate)))
-                << "n=" << n;
-        }
-    }
-    // A pre-sorted constant-digit input (the skip-pass path) must survive.
-    std::vector<GreedyCandidate> flat(100, GreedyCandidate{3, 9, 2.25});
-    std::vector<GreedyCandidate> flat_want = flat;
-    sorter.sort(flat);
-    EXPECT_EQ(0, std::memcmp(flat.data(), flat_want.data(),
-                             flat.size() * sizeof(GreedyCandidate)));
 }
 
 }  // namespace
