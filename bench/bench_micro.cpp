@@ -8,11 +8,13 @@
 //   ./bench_micro --benchmark_filter='^$'   # JSON only, no benchmarks
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <iostream>
 
 #include "greedy_kernel_bench.hpp"
 
 #include "api/candidate_source.hpp"
+#include "api/grid_source.hpp"
 #include "api/session.hpp"
 #include "core/greedy.hpp"
 #include "core/greedy_engine.hpp"
@@ -204,33 +206,56 @@ void BM_GreedyMetricCached(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyMetricCached)->Arg(256)->Arg(512);
 
-/// The ROADMAP's bound-sketch tuning item: hit rate vs associativity on
-/// the metric probe shape (clustered points, cached engine). The sketch's
-/// value is cross-bucket rejects remembered in O(n * ways) memory; more
-/// ways keep more sources per vertex before evictions, at proportional
-/// memory and probe cost.
+/// Bound-sketch associativity sweep on two shapes: the metric probe
+/// (clustered points, all pairs as candidates), where direct hits on
+/// remembered pairs pay, and the grid stream (uniform points, separation
+/// 5, the perfbench grid-stream shape), where each pair is emitted once
+/// and only the via-landmark reject can use the sketch. More ways keep
+/// more sources per vertex before evictions, at 12 bytes per slot and an
+/// O(ways) consult. The grid source replaces the default 4 ways with 32,
+/// so its sweep starts at 8.
 void sketch_ways_section() {
-    const std::size_t n = 512;
-    const double t = 1.5;
-    std::cout << "== BoundSketch associativity sweep (metric probe, n=" << n
-              << ", t=" << t << ") ==\n";
-    gsp::Table table({"kWays", "sketch hits", "hit rate (per candidate)", "dijkstra runs",
-                      "seconds"});
-    const double m = static_cast<double>(n * (n - 1) / 2);
-    for (const std::size_t ways : {2u, 4u, 8u}) {
+    const double t_metric = 1.5;
+    const std::size_t n_metric = 512;
+    const std::size_t n_grid = 4096;
+    std::cout << "== BoundSketch associativity sweep (metric probe n=" << n_metric
+              << " t=" << t_metric << "; grid stream n=" << n_grid << " t=2 s=5) ==\n";
+    gsp::Table table({"shape", "ways", "sketch KiB", "sketch hits", "coarse rejects",
+                      "dijkstra runs", "probe pushes", "seconds"});
+    const auto row = [&](const char* shape, std::size_t ways, std::size_t n,
+                         const BuildReport& report) {
+        const std::size_t sketch_kib = n * ways * 12 / 1024;
+        table.add_row({shape, std::to_string(ways), std::to_string(sketch_kib),
+                       std::to_string(report.stats.sketch_hits),
+                       std::to_string(report.stats.coarse_rejects),
+                       std::to_string(report.stats.dijkstra_runs),
+                       std::to_string(report.stats.probe_pushes),
+                       gsp::fmt(report.seconds, 3)});
+    };
+    for (const std::size_t ways : {4u, 8u, 32u, 64u}) {
         Rng rng(1234);
-        const EuclideanMetric pts = clustered_points(n, 2, 8, 60.0, 2.0, rng);
+        const EuclideanMetric pts = clustered_points(n_metric, 2, 8, 60.0, 2.0, rng);
         SpannerSession session;
         MetricCandidateSource source(pts);
         BuildOptions options;
-        options.stretch = t;
+        options.stretch = t_metric;
         options.engine.sketch_ways = ways;
         BuildReport report;
         (void)session.build(source, options, &report);
-        table.add_row({std::to_string(ways), std::to_string(report.stats.sketch_hits),
-                       gsp::fmt(static_cast<double>(report.stats.sketch_hits) / m, 4),
-                       std::to_string(report.stats.dijkstra_runs),
-                       gsp::fmt(report.seconds, 3)});
+        row("metric", ways, n_metric, report);
+    }
+    Rng grid_rng(8123);
+    const EuclideanMetric grid_pts = uniform_points(
+        n_grid, 2, std::sqrt(static_cast<double>(n_grid)) * 10.0, grid_rng);
+    for (const std::size_t ways : {8u, 32u, 64u}) {
+        SpannerSession session;
+        GridCandidateSource source(grid_pts, 5.0);
+        BuildOptions options;
+        options.stretch = 2.0;
+        options.engine.sketch_ways = ways;
+        BuildReport report;
+        (void)session.build(source, options, &report);
+        row("grid stream", ways, n_grid, report);
     }
     table.print(std::cout);
     std::cout << "\n";

@@ -46,10 +46,12 @@ void GridCandidateSource::configure_engine(GreedyEngineOptions& options, Spanner
     // remember a common nearby anchor, and every level's anchors compete
     // for the same few source-keyed slots: at the default associativity
     // most facts a cell ball harvests are evicted before the neighbor
-    // cells' candidates consult them. Twice the ways keeps them alive
-    // for O(n) extra memory and an O(ways) consult.
+    // cells' candidates consult them. Once the spanner stops growing --
+    // long before the candidates run out -- those witness bounds decide
+    // the all-reject tail without a probe. 32 ways keep them alive for
+    // 384 bytes per vertex and an O(ways) branch-free consult.
     if (options.sketch_ways == EngineTuning{}.sketch_ways) {
-        options.sketch_ways = 8;
+        options.sketch_ways = 32;
     }
     // Spanner edge weights are exactly the metric distances of their
     // endpoints, so the metric lower-bounds every graph distance: hand it

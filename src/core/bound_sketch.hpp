@@ -6,37 +6,28 @@
 // bound per *pair* -- n^2 memory -- and owes most of its speed to hits that
 // span weight buckets. BoundSketch recovers those cross-bucket hits in
 // O(n) memory: a small set-associative table with `ways` slots per vertex,
-// each slot remembering what some earlier exact query learned about the
-// distance from one source to this vertex:
-//
-//  * an upper bound `ub` -- the length of a realizable witness path. The
-//    spanner only grows and distances only shrink, so `ub` is sound
-//    *forever* and may reject a candidate in any later bucket;
-//  * a lower bound `lo` tagged with the insertion epoch it was measured
-//    at: "d(src, v) >= lo at epoch `lo_epoch`". Distances can only shrink
-//    when an edge is inserted, so the tag is the certificate's lifetime --
-//    a consult at the same epoch may accept without any Dijkstra probe
-//    (the same rule stage-2 "far at snapshot" certificates follow).
+// each slot remembering an upper bound `ub` on the distance from one
+// source to this vertex -- the length of a realizable witness path. The
+// spanner only grows and distances only shrink, so `ub` is sound *forever*
+// and may reject a candidate in any later bucket. The sketch never
+// accepts: it holds no lower bounds.
 //
 // Records are monotone-tightening: a repeated (vertex, source) record only
-// lowers `ub`, and only raises `lo` within an epoch (a newer epoch replaces
-// the tag). Slot placement is deterministic (source-indexed way), so runs
-// are reproducible and stats are schedule-independent. The associativity
-// is a runtime parameter (power of two): kWays = 4 was PR 3's first cut,
-// and bench_micro measures the hit-rate curve at 2/4/8 ways.
+// lowers `ub`. Slot placement is deterministic (source-indexed way), so
+// runs are reproducible and stats are schedule-independent. The
+// associativity is a runtime parameter (power of two); bench_micro
+// measures the hit-rate curve at 4/8/32/64 ways.
 //
 // Concurrency contract: the sketch is written only by the engine's serial
 // insertion loop, while stage-2 workers consult it read-only between the
 // loop's batches.
-// Storage is SoA (per-field arrays indexed slot = x * ways + way) rather
-// than an array of Entry structs: the hot consult, via_upper_bound, then
-// walks the two vertices' way-contiguous source arrays, touching the ub
-// arrays only for matching ways.
+// Storage is SoA (per-field arrays indexed slot = x * ways + way): a u32
+// source and a double bound, 12 bytes per slot. The via-landmark consult
+// walks the two vertices' way-contiguous rows in one branch-free pass.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "graph/types.hpp"
 #include "util/aligned.hpp"
@@ -57,16 +48,10 @@ public:
 
     [[nodiscard]] bool empty() const { return src_.empty(); }
     [[nodiscard]] std::size_t ways() const { return ways_; }
+    /// Logical bytes of the slot table: n * ways * 12.
     [[nodiscard]] std::size_t bytes() const {
-        return src_.capacity() * sizeof(VertexId) + ub_.capacity() * sizeof(Weight) +
-               lo_.capacity() * sizeof(Weight) +
-               lo_epoch_.capacity() * sizeof(std::uint64_t);
+        return src_.size() * (sizeof(VertexId) + sizeof(Weight));
     }
-
-    /// Record an exact distance d(src, x) = d measured at `epoch`: upper
-    /// bound forever, lower bound while the epoch holds.
-    GSP_SERIAL_ONLY void record_exact(VertexId src, VertexId x, Weight d,
-                                      std::uint64_t epoch);
 
     /// Record a witness-path upper bound d(src, x) <= ub (sound forever).
     GSP_SERIAL_ONLY void record_upper(VertexId src, VertexId x, Weight ub);
@@ -87,26 +72,16 @@ public:
     [[nodiscard]] GSP_DECISION_PURE GSP_HOT_PATH Weight via_upper_bound(
         VertexId u, VertexId v) const;
 
-    /// Largest lower bound on d(u, v) still valid at `epoch` (0 when no
-    /// tagged entry matches). d(u, v) > threshold is certified iff the
-    /// returned value exceeds threshold.
-    [[nodiscard]] GSP_DECISION_PURE GSP_HOT_PATH Weight lower_bound_at(
-        VertexId u, VertexId v, std::uint64_t epoch) const;
-
 private:
     [[nodiscard]] std::size_t slot(VertexId x, VertexId src) const {
         return static_cast<std::size_t>(x) * ways_ + (src & (ways_ - 1));
     }
-    /// Claims slot(x, src) for `src` (deterministic eviction: the newest
-    /// source owning a way wins) and returns its index.
-    std::size_t slot_for_write(VertexId src, VertexId x);
 
     std::size_t ways_ = kDefaultWays;
-    // SoA slot fields, n * ways_ each, way-indexed by source low bits.
+    // SoA slot fields, n * ways_ each, way-indexed by source low bits. An
+    // empty slot holds (kNoVertex, +infinity).
     AlignedVector<VertexId> src_;
     AlignedVector<Weight> ub_;
-    GSP_EPOCH_GUARDED AlignedVector<Weight> lo_;
-    GSP_EPOCH_GUARDED AlignedVector<std::uint64_t> lo_epoch_;
 };
 
 }  // namespace gsp

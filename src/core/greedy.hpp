@@ -75,14 +75,12 @@ struct GreedyStats {
     std::size_t cell_ball_decisions = 0; ///< candidates decided by those balls
     std::size_t coarse_rejects = 0;      ///< via-landmark sketch upper-bound rejects
 
-    // Bound-sketch counters (zero when bound_sketch is off). Not a
-    // partition of edges_examined: a stage-2 sketch far certificate counts
-    // here *and* as a snapshot_accept when stage 3 consumes its bit.
-    std::size_t sketch_hits = 0;     ///< candidates the sketch decided in either
-                                     ///< stage (upper-bound rejects, and stage-2
-                                     ///< epoch-valid far certificates)
-    std::size_t sketch_accepts = 0;  ///< stage-3 accepts from epoch-valid sketch
-                                     ///< lower bounds
+    // Bound-sketch counters (zero when bound_sketch is off).
+    std::size_t sketch_hits = 0;     ///< candidates a direct sketch upper bound
+                                     ///< rejected, in either stage
+    std::size_t sketch_accepts = 0;  ///< always 0: the sketch holds no lower
+                                     ///< bounds, so it never accepts; kept for
+                                     ///< readers of the BuildReport schema
 
     // Landmark-table counters (zero when bound_sketch is off). Separate
     // from coarse_rejects, which keeps counting the sketch's own

@@ -288,14 +288,13 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     double last_accept_rate = 0.0;
 
     // Cross-bucket sketch recorder (serial-only writer; stage 2 reads
-    // the sketch strictly between batches' fan-outs). Accept paths record
-    // nothing here: the insertion that follows bumps the epoch and writes
-    // the now-exact pair distance, which would overwrite any far record
-    // one statement later.
-    const auto sk_pair_exact = [&](VertexId a, VertexId b, Weight d) {
+    // the sketch strictly between batches' fan-outs): a measured or
+    // inserted pair distance is a witness path, so both directions keep
+    // it as an upper bound for every later bucket.
+    const auto sk_pair_upper = [&](VertexId a, VertexId b, Weight d) {
         if (!use_sketch) return;
-        sketch.record_exact(a, b, d, insert_epoch);
-        sketch.record_exact(b, a, d, insert_epoch);
+        sketch.record_upper(a, b, d);
+        sketch.record_upper(b, a, d);
     };
 
     // Online cost model for the ball-vs-point decision: exponential moving
@@ -339,7 +338,11 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             const std::size_t cost = landmarks.refresh_cost(2 * h.num_edges());
             if (landmark_rule.want_refresh(work_now - bucket_work_mark, cost, stats,
                                            work_now)) {
-                landmarks.refresh(adapter.view());
+                // On a spanner unchanged since the last refresh the table
+                // keeps its trees; the refresh still counts and rebases
+                // the rule, so decisions and stats are those of a
+                // recompute.
+                landmarks.refresh(adapter.view(), h.num_edges());
                 ++stats.landmark_refreshes;
                 landmark_rule.refreshed(cost, stats, work_now);
             }
@@ -491,12 +494,9 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                 // is already known (harvested serially or by stage 2); the
                 // spanner only grows, so the bound can only have improved.
                 ++stats.cache_hits;
-                if (use_sketch) {
-                    // Persist the witness across buckets (upper bounds are
-                    // sound forever).
-                    sketch.record_upper(c.u, c.v, bound[li]);
-                    sketch.record_upper(c.v, c.u, bound[li]);
-                }
+                // Persist the witness across buckets (upper bounds are
+                // sound forever).
+                sk_pair_upper(c.u, c.v, bound[li]);
                 continue;
             }
             if (use_sketch && sketch.upper_bound(c.u, c.v) <= threshold) {
@@ -519,8 +519,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                 const Weight via = sketch.via_upper_bound(c.u, c.v);
                 if (via <= threshold) {
                     ++stats.coarse_rejects;
-                    sketch.record_upper(c.u, c.v, via);
-                    sketch.record_upper(c.v, c.u, via);
+                    sk_pair_upper(c.u, c.v, via);
                     continue;
                 }
             }
@@ -532,8 +531,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                 const Weight lm = landmarks.upper_bound(c.u, c.v);
                 if (lm <= threshold) {
                     ++stats.landmark_rejects;
-                    sketch.record_upper(c.u, c.v, lm);
-                    sketch.record_upper(c.v, c.u, lm);
+                    sk_pair_upper(c.u, c.v, lm);
                     continue;
                 }
             }
@@ -555,13 +553,6 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                 // shrunk the probe's certified radius under this member's
                 // threshold.
                 ++stats.cache_hits;
-                accept = true;
-            } else if (use_sketch &&
-                       sketch.lower_bound_at(c.u, c.v, insert_epoch) > threshold) {
-                // Epoch-valid sketch lower bound: the pair was measured
-                // farther than the threshold and nothing was inserted
-                // since -- accept without any probe.
-                ++stats.sketch_accepts;
                 accept = true;
             } else if (!sharing) {
                 need_point = true;
@@ -663,9 +654,9 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                                                std::max<std::size_t>(resolved, 1)));
                     if (use_sketch) {
                         // Same cross-bucket harvest as a drained ball's:
-                        // every settle is exact at this epoch.
+                        // every settle is a witness path.
                         for (const auto& [x, d] : probe.settled()) {
-                            if (x != anchor) sketch.record_exact(anchor, x, d, insert_epoch);
+                            if (x != anchor) sketch.record_upper(anchor, x, d);
                         }
                     }
                     ball_bucket[anchor] = batch_seq;
@@ -701,7 +692,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     const auto& settled = ws.ball(adapter.view(), anchor, radius);
                     update_ema(ball_cost, static_cast<double>(ws.last_work()));
                     if (use_sketch) {
-                        // The settled set is exact at this epoch: the
+                        // Every settled distance is a witness path: the
                         // cross-bucket harvest that recovers the n^2
                         // DistanceCache's hit rate in O(n) memory (and, on
                         // streams that emit each pair once, feeds the
@@ -718,7 +709,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                             anchored ? 0.5 * radius : kInfiniteWeight;
                         for (const auto& [x, d] : settled) {
                             if (d > record_cap) break;
-                            if (x != anchor) sketch.record_exact(anchor, x, d, insert_epoch);
+                            if (x != anchor) sketch.record_upper(anchor, x, d);
                         }
                     }
                     std::size_t resolved = 1;  // this candidate
@@ -754,7 +745,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                 // early-exit point query does.
                 const Weight d = point_query(anchor, target, threshold, li);
                 accept = d > threshold;
-                if (!accept) sk_pair_exact(c.u, c.v, d);
+                if (!accept) sk_pair_upper(c.u, c.v, d);
             }
             if (!accept) continue;
 
@@ -762,9 +753,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             adapter.add_edge(c.u, c.v, c.weight, id);
             ++stats.edges_added;
             ++insert_epoch;
-            // The accepted edge is now the shortest u-v path (any older
-            // path exceeded t * w >= w), exact at the new epoch.
-            sk_pair_exact(c.u, c.v, c.weight);
+            // The accepted edge is now a one-edge u-v witness.
+            sk_pair_upper(c.u, c.v, c.weight);
             if (sharing) {
                 // Parallel candidates of the same pair now have a one-edge
                 // witness; lower their bounds so they hit the cache. A

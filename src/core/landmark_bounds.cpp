@@ -16,10 +16,12 @@ void LandmarkTable::reset(std::size_t n, std::size_t k) {
 }
 
 template <class View>
-GSP_SERIAL_ONLY void LandmarkTable::refresh(const View& view) {
+GSP_SERIAL_ONLY bool LandmarkTable::refresh(const View& view, std::size_t edges) {
     if (view.num_vertices() != n_) {
         throw std::invalid_argument("LandmarkTable::refresh: vertex count mismatch");
     }
+    if (ready_ && edges == edges_) return false;
+    edges_ = edges;
     // Sized here, not in reset(): a run whose rule never fires (one weight
     // bucket, say) pays no table memory at all.
     dist_.assign(n_ * k_, kInfiniteWeight);
@@ -44,9 +46,11 @@ GSP_SERIAL_ONLY void LandmarkTable::refresh(const View& view) {
         }
     }
     ready_ = count > 0;
+    return true;
 }
 
-template void LandmarkTable::refresh<Graph>(const Graph&);
-template void LandmarkTable::refresh<IncrementalCsrView>(const IncrementalCsrView&);
+template bool LandmarkTable::refresh<Graph>(const Graph&, std::size_t);
+template bool LandmarkTable::refresh<IncrementalCsrView>(const IncrementalCsrView&,
+                                                         std::size_t);
 
 }  // namespace gsp

@@ -59,9 +59,13 @@ public:
     /// full single-source Dijkstra runs, O(k (n + m) log n). `view` is any
     /// adjacency view with num_vertices() and neighbors(v) (the live Graph
     /// or the engine's IncrementalCsrView) and must have the vertex count
-    /// given to reset().
+    /// given to reset(); `edges` is its edge count. Within a run the
+    /// spanner only grows, so a refresh at the edge count of the table in
+    /// force would pick the same landmarks and build the same trees bit
+    /// for bit: it keeps the table and returns false. Returns true when
+    /// it recomputed.
     template <class View>
-    GSP_SERIAL_ONLY void refresh(const View& view);
+    GSP_SERIAL_ONLY bool refresh(const View& view, std::size_t edges);
 
     /// Whether a refresh has filled the table this run.
     [[nodiscard]] bool ready() const { return ready_; }
@@ -101,6 +105,7 @@ private:
     std::size_t n_ = 0;
     std::size_t k_ = 0;
     bool ready_ = false;
+    std::size_t edges_ = 0;  ///< view edge count of the table in force
     /// n * k distances, row v = the k landmark distances of vertex v.
     AlignedVector<Weight> dist_;
     std::vector<VertexId> landmarks_;

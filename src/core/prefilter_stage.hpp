@@ -196,8 +196,7 @@ private:
 
     /// Consult the cross-bucket sketch (and the landmark table) for one
     /// candidate: a persisted witness upper bound publishes a permanent
-    /// reject through the bound slot, an epoch-valid lower bound publishes
-    /// a far-at-snapshot bit.
+    /// reject through the bound slot.
     /// Returns true when the candidate is decided (no probe needed).
     GSP_DECISION_PURE GSP_HOT_PATH bool sketch_decides(
         const PrefilterContext& ctx, std::uint32_t local,
@@ -230,11 +229,6 @@ private:
                 ++wc.landmark_rejects;
                 return true;
             }
-        }
-        if (ctx.sketch->lower_bound_at(c.u, c.v, ctx.snapshot_epoch) > threshold) {
-            set_bit(far_bits_, local);
-            ++wc.sketch_hits;
-            return true;
         }
         return false;
     }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 namespace gsp {
 
@@ -24,6 +25,26 @@ void scan_cell_pairs(const UniformGrid2D::Level& lv, double mb_lo, double mb_hi,
     const double h = lv.cell_size;
     const auto R = static_cast<std::int64_t>(mb_hi / h) + 1;
     const std::size_t cells = lv.keys.size();
+    // min_boxdist depends only on the offset (dy, |dx|) of a scanned
+    // pair: tabulate it once per call with the per-pair expression, so the
+    // emitted stream is unchanged. Both offsets are at most R and at most
+    // the level's largest cell coordinate (about sqrt(n) at level 0), so
+    // the table holds O(min(R^2, n)) entries whatever the separation.
+    std::int64_t extent = 0;
+    for (const std::uint64_t key : lv.keys) {
+        extent = std::max({extent, static_cast<std::int64_t>(key & 0xffffffffULL),
+                           static_cast<std::int64_t>(key >> 32)});
+    }
+    const auto side = static_cast<std::size_t>(std::min(R, extent)) + 1;
+    const auto gap = [h](std::size_t k) {
+        return k > 0 ? static_cast<double>(k - 1) * h : 0.0;
+    };
+    std::vector<double> boxdist(side * side);
+    for (std::size_t dy = 0; dy < side; ++dy) {
+        for (std::size_t adx = 0; adx < side; ++adx) {
+            boxdist[dy * side + adx] = std::hypot(gap(adx), gap(dy));
+        }
+    }
     for (std::size_t a = 0; a < cells; ++a) {
         const std::uint64_t key = lv.keys[a];
         const auto ax = static_cast<std::int64_t>(key & 0xffffffffULL);
@@ -43,9 +64,8 @@ void scan_cell_pairs(const UniformGrid2D::Level& lv, double mb_lo, double mb_hi,
             for (; it != end; ++it) {
                 const auto bx = static_cast<std::int64_t>(*it & 0xffffffffULL);
                 const std::int64_t adx = bx >= ax ? bx - ax : ax - bx;
-                const double gx = adx > 0 ? static_cast<double>(adx - 1) * h : 0.0;
-                const double gy = dy > 0 ? static_cast<double>(dy - 1) * h : 0.0;
-                const double mb = std::hypot(gx, gy);
+                const double mb = boxdist[static_cast<std::size_t>(dy) * side +
+                                          static_cast<std::size_t>(adx)];
                 if (mb >= mb_lo && mb < mb_hi) {
                     fn(a, static_cast<std::size_t>(it - lv.keys.begin()));
                 }

@@ -35,10 +35,11 @@
 //
 //   GSP_EPOCH_GUARDED  The field is epoch- or scope-tagged: its raw value
 //                      is meaningless without the tag check its accessor
-//                      performs (BoundSketch::lower_bound_at). Readable
-//                      only inside the declaring class's own translation
-//                      units; everyone else goes through the checked
-//                      accessors.
+//                      performs. Readable only inside the declaring
+//                      class's own translation units; everyone else goes
+//                      through the checked accessors. No field in src/
+//                      carries it at present; the macro and its checker
+//                      stay for the next tagged field.
 //                      [checker: gsp-epoch-guarded]
 //
 // Under clang (and libclang, which is how gsp_lint.py's clang engine sees

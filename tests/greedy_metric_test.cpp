@@ -125,7 +125,7 @@ TEST(GreedyMetricTest, SketchRecoversCrossBucketHits) {
     const EuclideanMetric m = random_points(60, 2, rng);
     GreedyStats stats;
     (void)metric_spanner_with(m, 1.5, /*cached=*/true, 1, &stats);
-    EXPECT_GT(stats.sketch_hits + stats.sketch_accepts, 0u);
+    EXPECT_GT(stats.sketch_hits, 0u);
     EXPECT_GT(stats.buckets, 1u);  // the claim is *cross-bucket* reuse
 }
 

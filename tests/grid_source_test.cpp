@@ -15,7 +15,8 @@
 //  * a window collect with a limit appends a prefix of the unlimited
 //    collect and still counts the whole window;
 //  * windows over the memory cap are split, and the split sweep still
-//    concatenates to the one-shot sorted, deduplicated collect.
+//    concatenates to the one-shot sorted, deduplicated collect;
+//  * the materialized stream matches pinned digests byte for byte.
 // The ordering kernel that finalizes each window is tested on its own in
 // candidate_order_test.
 #include "api/grid_source.hpp"
@@ -23,6 +24,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -282,6 +285,51 @@ TEST(GridSourceTest, SplitWindowsMatchOneShotReference) {
                want.end());
     ASSERT_EQ(streamed.size(), want.size());
     EXPECT_TRUE(same_candidates(streamed.data(), want.data(), want.size()));
+}
+
+/// FNV-1a over (u, v, weight bits) of a candidate sequence.
+std::uint64_t stream_digest(const std::vector<GreedyCandidate>& cands) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t x) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (x >> (8 * i)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const GreedyCandidate& c : cands) {
+        mix(c.u);
+        mix(c.v);
+        mix(std::bit_cast<std::uint64_t>(c.weight));
+    }
+    return h;
+}
+
+TEST(GridSourceTest, EmittedStreamMatchesThePinnedDigests) {
+    // The whole materialized stream, byte for byte, at the perfbench
+    // separation, a wide one, and one whose scan radius exceeds the
+    // grid's extent, so the cell-pair scan sizes its min_boxdist table
+    // by the extent instead.
+    struct Pin {
+        std::size_t n;
+        double separation;
+        std::size_t count;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {1500, 5.0, 92216, 0x17714bbaf959f5f4ULL},
+        {600, 12.0, 85117, 0x684327c35c20fd2aULL},
+        {300, 400.0, 44850, 0x638a409b5363620bULL},
+    };
+    for (const Pin& pin : pins) {
+        Rng rng(2024);
+        const EuclideanMetric pts = uniform_points(pin.n, 2, 100.0, rng);
+        GridCandidateSource source(pts, pin.separation);
+        std::vector<GreedyCandidate> full;
+        source.materialize(full);
+        EXPECT_EQ(full.size(), pin.count) << "s=" << pin.separation;
+        EXPECT_EQ(stream_digest(full), pin.digest)
+            << "s=" << pin.separation << " digest " << std::hex << stream_digest(full);
+    }
 }
 
 }  // namespace

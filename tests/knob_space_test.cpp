@@ -88,7 +88,8 @@ Draw draw_settings(Rng& rng) {
                                   std::size_t{2048}});
     e.parallel_accept_gate = pick(rng, {0.0, 0.1, 0.25, 0.6, 1.0});
     e.sketch_ways = pick(rng, {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                               std::size_t{8}, std::size_t{16}});
+                               std::size_t{8}, std::size_t{16}, std::size_t{32},
+                               std::size_t{64}});
     e.bucket_ratio = pick(rng, {1.05, 1.5, 2.0, 4.0});
     e.ball_share_min_group = pick(rng, {std::size_t{1}, std::size_t{2}, std::size_t{16},
                                         std::size_t{64}});

@@ -56,7 +56,7 @@ TEST(LandmarkTableTest, EmptyUntilRefreshed) {
     EXPECT_EQ(table.upper_bound(0, 1), kInfiniteWeight);
     EXPECT_EQ(table.bytes(), 0u);  // sized by the first refresh
     EXPECT_EQ(table.refresh_cost(40), kK * (10 + 40));
-    table.refresh(Graph(10));
+    table.refresh(Graph(10), 0);
     EXPECT_TRUE(table.ready());
     EXPECT_EQ(table.bytes(), 10 * kK * sizeof(Weight));
 }
@@ -69,7 +69,7 @@ TEST(LandmarkTableTest, UpperBoundsDominateDistancesAndSurviveInsertions) {
         Graph g = erdos_renyi(160, 0.015, {.lo = 0.5, .hi = 3.0}, rng, false);
         LandmarkTable table;
         table.reset(g.num_vertices(), kK);
-        table.refresh(g);
+        table.refresh(g, g.num_edges());
         ASSERT_TRUE(table.ready());
         expect_sound(table, g, "seed " + std::to_string(seed));
 
@@ -87,7 +87,7 @@ TEST(LandmarkTableTest, UpperBoundsDominateDistancesAndSurviveInsertions) {
                     << "after inserts, seed " << seed;
             }
         }
-        table.refresh(g);
+        table.refresh(g, g.num_edges());
         expect_sound(table, g, "refreshed, seed " + std::to_string(seed));
     }
 }
@@ -101,8 +101,8 @@ TEST(LandmarkTableTest, IncrementalViewMatchesGraph) {
     LandmarkTable on_view;
     on_graph.reset(g.num_vertices(), kK);
     on_view.reset(g.num_vertices(), kK);
-    on_graph.refresh(g);
-    on_view.refresh(view);
+    on_graph.refresh(g, g.num_edges());
+    on_view.refresh(view, g.num_edges());
     ASSERT_EQ(std::vector<VertexId>(on_graph.landmarks().begin(), on_graph.landmarks().end()),
               std::vector<VertexId>(on_view.landmarks().begin(), on_view.landmarks().end()));
     for (VertexId u = 0; u < g.num_vertices(); ++u) {
@@ -118,7 +118,7 @@ TEST(LandmarkTableTest, FarthestPointSelectionIsDeterministic) {
     for (VertexId i = 0; i + 1 < 10; ++i) g.add_edge(i, i + 1, 1.0);
     LandmarkTable table;
     table.reset(g.num_vertices(), 6);
-    table.refresh(g);
+    table.refresh(g, g.num_edges());
     // Vertex 0 first (every vertex ties at +infinity); then the vertices
     // unreachable from every landmark, smallest id first; then the far
     // end of the path; then the tie between 4 and 5 (both 4 away from
@@ -132,10 +132,9 @@ TEST(LandmarkTableTest, FarthestPointSelectionIsDeterministic) {
     const Graph r = erdos_renyi(200, 0.03, {.lo = 1.0, .hi = 4.0}, rng);
     LandmarkTable a;
     a.reset(r.num_vertices(), kK);
-    a.refresh(r);
+    a.refresh(r, r.num_edges());
     table.reset(r.num_vertices(), kK);
-    table.refresh(r);
-    table.refresh(r);
+    ASSERT_TRUE(table.refresh(r, r.num_edges()));
     ASSERT_EQ(std::vector<VertexId>(a.landmarks().begin(), a.landmarks().end()),
               std::vector<VertexId>(table.landmarks().begin(), table.landmarks().end()));
     for (VertexId u = 0; u < r.num_vertices(); ++u) {
@@ -145,12 +144,59 @@ TEST(LandmarkTableTest, FarthestPointSelectionIsDeterministic) {
     }
 }
 
+/// The landmarks and every pair's bound of `table`.
+struct TableImage {
+    std::vector<VertexId> landmarks;
+    std::vector<Weight> bounds;
+    bool operator==(const TableImage&) const = default;
+};
+
+TableImage image_of(const LandmarkTable& table, std::size_t n) {
+    TableImage img;
+    img.landmarks.assign(table.landmarks().begin(), table.landmarks().end());
+    for (VertexId u = 0; u < n; ++u) {
+        for (VertexId v = 0; v < n; ++v) img.bounds.push_back(table.upper_bound(u, v));
+    }
+    return img;
+}
+
+TEST(LandmarkTableTest, RefreshOnAnUnchangedSpannerKeepsTheTable) {
+    Rng rng(23);
+    Graph g = erdos_renyi(150, 0.03, {.lo = 1.0, .hi = 3.0}, rng, false);
+    const std::size_t n = g.num_vertices();
+    LandmarkTable table;
+    table.reset(n, kK);
+    ASSERT_TRUE(table.refresh(g, g.num_edges()));
+    const TableImage before = image_of(table, n);
+
+    // No edge since the last refresh: the table is kept...
+    EXPECT_FALSE(table.refresh(g, g.num_edges()));
+    EXPECT_EQ(image_of(table, n), before);
+    // ...and is bit for bit what a recompute on the same spanner builds.
+    LandmarkTable fresh;
+    fresh.reset(n, kK);
+    ASSERT_TRUE(fresh.refresh(g, g.num_edges()));
+    EXPECT_EQ(image_of(fresh, n), before);
+
+    // One insertion later the refresh recomputes.
+    g.add_edge(0, static_cast<VertexId>(n - 1), 0.25);
+    EXPECT_TRUE(table.refresh(g, g.num_edges()));
+    fresh.reset(n, kK);
+    ASSERT_TRUE(fresh.refresh(g, g.num_edges()));
+    EXPECT_EQ(image_of(table, n), image_of(fresh, n));
+    EXPECT_NE(image_of(table, n), before);
+
+    // reset() drops the table in force: the next refresh always builds.
+    table.reset(n, kK);
+    EXPECT_TRUE(table.refresh(g, g.num_edges()));
+}
+
 TEST(LandmarkTableTest, FewerVerticesThanLandmarks) {
     Graph g(3);
     g.add_edge(0, 1, 2.0);
     LandmarkTable table;
     table.reset(3, kK);
-    table.refresh(g);
+    table.refresh(g, g.num_edges());
     EXPECT_EQ(table.landmarks().size(), 3u);
     EXPECT_EQ(table.upper_bound(0, 1), 2.0);
     EXPECT_EQ(table.upper_bound(1, 2), kInfiniteWeight);
@@ -228,8 +274,11 @@ TEST(LandmarkEngineTest, EuclideanMetricMatchesNaive) {
 }
 
 TEST(LandmarkEngineTest, GridStreamMatchesNaive) {
+    // n = 800: at the grid's 32 sketch ways the via-landmark rejects leave
+    // smaller inputs too few probes for the refresh rule to buy a table,
+    // and this test must exercise one.
     Rng rng(123);
-    const EuclideanMetric pts = uniform_points(400, 2, 200.0, rng);
+    const EuclideanMetric pts = uniform_points(800, 2, 200.0, rng);
     check_against_naive([&] { return GridCandidateSource(pts, 5.0); }, 2.0, "grid stream");
 }
 
