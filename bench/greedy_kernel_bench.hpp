@@ -3,18 +3,18 @@
 //
 // Both bench_runtime (full-size sweep, the perf-trajectory source of truth)
 // and bench_micro (CI smoke that validates the schema) emit the same JSON
-// shape, version-tagged "gsp.bench_greedy.v11", built on the library's
+// shape, version-tagged "gsp.bench_greedy.v12", built on the library's
 // shared JsonWriter + append_greedy_stats serializer (src/api/build_report)
 // instead of hand-rolled streams:
 //
 //   {
-//     "schema": "gsp.bench_greedy.v11",
+//     "schema": "gsp.bench_greedy.v12",
 //     "source": "<bench binary>",
 //     "stretch": <t>,
 //     "instance": {"kind": ..., "n": ..., "m": ...},
 //     "configs": [
 //       {"name": ..., "bidirectional": ..., "ball_sharing": ...,
-//        "csr_snapshot": ..., "bound_sketch": ..., "seconds": ...,
+//        "bound_sketch": ..., "seconds": ...,
 //        "edges": ..., "matches_naive": ..., "handoff_bytes": ...,
 //        "bytes_per_candidate": ..., "rss_delta_kb": ..., "stats": {...}},
 //       ...],
@@ -74,6 +74,11 @@
 // is no per-candidate baseline left to ablate against. The group-probe
 // counters stay in every config's "stats".
 //
+// v12 drops the "csr_snapshot" key of every config row, and the ladder's
+// "csr_snapshot" and "bidirectional+csr" rows with it: every engine
+// configuration probes the incremental CSR view, so those rows would
+// repeat "naive" and "bidirectional".
+//
 // The output path defaults to BENCH_greedy.json in the working directory;
 // override with the GSP_BENCH_JSON environment variable.
 // scripts/validate_bench_json.py checks the schema in CI.
@@ -108,7 +113,6 @@ struct KernelConfig {
     const char* name;
     bool bidirectional;
     bool ball_sharing;
-    bool csr_snapshot;
     bool bound_sketch = false;
     std::size_t threads = 1;  ///< stage-2 workers (1 = serial pipeline)
 };
@@ -121,15 +125,13 @@ struct KernelConfig {
 /// over the serial engine; from PR 3 on, "full" includes the cross-bucket
 /// bound sketch.
 inline constexpr KernelConfig kKernelConfigs[] = {
-    {"naive", false, false, false},
-    {"bidirectional", true, false, false},
-    {"ball_sharing", false, true, false},
-    {"csr_snapshot", false, false, true},
-    {"bound_sketch", false, false, false, true},
-    {"bidirectional+csr", true, false, true},
-    {"full", true, true, true, true},
-    {"full+mt2", true, true, true, true, 2},
-    {"full+mt4", true, true, true, true, 4},
+    {"naive", false, false},
+    {"bidirectional", true, false},
+    {"ball_sharing", false, true},
+    {"bound_sketch", false, false, true},
+    {"full", true, true, true},
+    {"full+mt2", true, true, true, 2},
+    {"full+mt4", true, true, true, 4},
 };
 
 struct KernelRun {
@@ -151,7 +153,6 @@ inline BuildOptions options_for(const KernelConfig& config, double t) {
     options.stretch = t;
     options.engine.bidirectional = config.bidirectional;
     options.engine.ball_sharing = config.ball_sharing;
-    options.engine.csr_snapshot = config.csr_snapshot;
     options.engine.bound_sketch = config.bound_sketch;
     options.engine.num_threads = config.threads;
     return options;
@@ -564,7 +565,7 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
                                     const MetricProbeResult* metric_probe = nullptr) {
     JsonWriter w;
     w.begin_object();
-    w.member("schema", "gsp.bench_greedy.v11");
+    w.member("schema", "gsp.bench_greedy.v12");
     w.member("source", source);
     w.member("stretch", t);
     w.key("instance").begin_object();
@@ -581,7 +582,6 @@ inline void write_bench_greedy_json(const std::string& path, const std::string& 
         w.member("name", r.config.name);
         w.member("bidirectional", r.config.bidirectional);
         w.member("ball_sharing", r.config.ball_sharing);
-        w.member("csr_snapshot", r.config.csr_snapshot);
         w.member("bound_sketch", r.config.bound_sketch);
         w.member("threads", r.config.threads);
         w.member("seconds", r.seconds);

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v11)
+"""Validate BENCH_greedy.json artifacts (schemas gsp.bench_greedy.v1-v12)
 and diff them against the tracked bench history.
 
 Usage:
@@ -89,8 +89,12 @@ built a GroupProbing setting that no longer exists, so a v11 document
 carrying the object is rejected, and the 1.05x metric-arm floor -- which
 gated the choice between two group mechanisms that are no longer a
 choice -- does not apply to v11. The group-probe counters stay in every
-config's stats block. Older entries are still accepted and diffed on the
-fields they carry.
+config's stats block. Schema v12 (one adjacency view: the engine always
+probes its incremental CSR mirror) drops the "csr_snapshot" key from every
+config row, and a v12 row carrying it is rejected; the ladder loses the
+"csr_snapshot" and "bidirectional+csr" rows, which would now repeat
+"naive" and "bidirectional". Older entries are still accepted and diffed
+on the fields they carry.
 
 Exits non-zero if a file is missing, malformed, or violates the schema --
 including the engine's core contract that every configuration matched the
@@ -101,7 +105,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 12)}
+SCHEMAS = {f"gsp.bench_greedy.v{i}" for i in range(1, 13)}
 REQUIRED_TOP = {"schema", "source", "stretch", "instance", "configs",
                 "speedup_full_vs_naive"}
 REQUIRED_CONFIG = {"name", "bidirectional", "ball_sharing", "csr_snapshot",
@@ -196,6 +200,9 @@ GROUP_PROBE_MIN_SPEEDUP = 1.05
 REMOVED_STATS_V10 = REPAIR_STATS_V3 | {"certs_two_sided"}
 REQUIRED_STATS_V10 = REQUIRED_STATS_V7 - REMOVED_STATS_V10
 
+# v12: there is no adjacency-view knob left to record.
+REMOVED_CONFIG_V12 = {"csr_snapshot"}
+
 # v8 additions: the SIMD kernel ablation and the dispatch-honesty fields.
 REQUIRED_SIMD_KERNELS = ("far_sweep", "distance_batch", "sketch_probe",
                          "radix_sort")
@@ -234,12 +241,14 @@ def validate(doc: dict, path) -> None:
     version = int(schema.rsplit("v", 1)[1])
     v2, v3, v4 = version >= 2, version >= 3, version >= 4
     v5, v6, v7, v8 = version >= 5, version >= 6, version >= 7, version >= 8
-    v10, v11 = version >= 10, version >= 11
+    v10, v11, v12 = version >= 10, version >= 11, version >= 12
     # The SIMD fields were required in v8 only; v9 removed the kernels.
     simd_v8 = version == 8
     required_top = REQUIRED_TOP_V2 if v2 else REQUIRED_TOP
     required_config = (REQUIRED_CONFIG_V5 if v5 else
                        REQUIRED_CONFIG_V2 if v2 else REQUIRED_CONFIG)
+    if v12:
+        required_config = required_config - REMOVED_CONFIG_V12
     required_stats = (REQUIRED_STATS_V10 if v10 else
                       REQUIRED_STATS_V7 if v7 else
                       REQUIRED_STATS_V6 if v6 else
@@ -266,6 +275,8 @@ def validate(doc: dict, path) -> None:
         if v10 and (stale := REMOVED_STATS_V10 & c["stats"].keys()):
             fail(f"{path}: config {c['name']} stats carry removed repair "
                  f"counters: {sorted(stale)}")
+        if v12 and (stale := REMOVED_CONFIG_V12 & c.keys()):
+            fail(f"{path}: config {c['name']} carries removed keys: {sorted(stale)}")
         if c["seconds"] < 0:
             fail(f"{path}: config {c['name']} has negative seconds")
         if not c["matches_naive"]:

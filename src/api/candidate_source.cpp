@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -142,15 +143,15 @@ namespace {
 
 /// The linear-space WSPD generator. Construction keeps only the dumbbell
 /// representative pairs as two u32 arrays plus a u32 class-order
-/// permutation (12 bytes per pair -- half the materialized candidate), and
-/// partitions the pairs into geometric weight classes [wpos * 2^(c-1),
-/// wpos * 2^c) by recomputing each weight on the fly (two counting
-/// passes). Serving orders one class at a time into a scratch vector by
-/// the source's (weight, u, v) tie rule and hands out soft_cap-sized
-/// slices. Because the class of a candidate is a monotone function of its
-/// weight and equal weights always share a class, the concatenation of
-/// per-class orderings is exactly the global order --
-/// bit-identical to materialize().
+/// permutation (12 bytes per pair, against 16 for a GreedyCandidate). A
+/// pair's weight class is the binary exponent of its weight (weight_key's
+/// top 12 bits), so classes are octaves and need no range pass. Serving
+/// orders one class at a time into a scratch vector by the source's
+/// (weight, u, v) tie rule and hands out soft_cap-sized slices. Because
+/// the class of a candidate is a monotone function of its weight and
+/// equal weights always share a class, the concatenation of per-class
+/// orderings is exactly the global order -- bit-identical to
+/// materialize().
 class WspdChunkSource final : public CandidateChunkSource {
 public:
     WspdChunkSource(const EuclideanMetric& m, double separation) : m_(m) {
@@ -167,42 +168,19 @@ public:
                 vs_.push_back(std::max(a, b));
             }
         }  // tree + raw pair list released before any candidate memory exists
-        const std::size_t p = us_.size();
-        if (p == 0) return;
-
-        // Pass 1: weight range (smallest positive weight anchors class 1;
-        // exact zeros -- duplicate points -- form class 0).
-        wpos_ = std::numeric_limits<double>::infinity();
-        double wmax = 0.0;
-        for (std::size_t i = 0; i < p; ++i) {
-            const double w = m_.distance(us_[i], vs_[i]);
-            if (w > 0.0 && w < wpos_) wpos_ = w;
-            if (w > wmax) wmax = w;
+        std::vector<std::uint16_t> cls(us_.size());
+        for (std::size_t i = 0; i < us_.size(); ++i) {
+            cls[i] = static_cast<std::uint16_t>(weight_key(m_.distance(us_[i], vs_[i])) >> 52);
         }
-        std::size_t num_classes = 1;
-        if (std::isfinite(wpos_)) {
-            num_classes = 2 + static_cast<std::size_t>(std::max(
-                                  0.0, std::floor(std::log2(wmax / wpos_))));
+        // Order within a class is irrelevant: serving sorts each class.
+        order_.resize(us_.size());
+        std::iota(order_.begin(), order_.end(), 0U);
+        std::sort(order_.begin(), order_.end(),
+                  [&](std::uint32_t a, std::uint32_t b) { return cls[a] < cls[b]; });
+        for (std::uint32_t k = 0; k < order_.size(); ++k) {
+            if (k == 0 || cls[order_[k]] != cls[order_[k - 1]]) class_start_.push_back(k);
         }
-
-        // Pass 2: histogram, prefix-sum, stable scatter of pair indices.
-        std::vector<std::uint32_t> counts(num_classes + 1, 0);
-        for (std::size_t i = 0; i < p; ++i) {
-            ++counts[class_of(m_.distance(us_[i], vs_[i]), num_classes)];
-        }
-        class_start_.assign(num_classes + 1, 0);
-        std::uint32_t acc = 0;
-        for (std::size_t c = 0; c < num_classes; ++c) {
-            class_start_[c] = acc;
-            acc += counts[c];
-        }
-        class_start_[num_classes] = acc;
-        std::vector<std::uint32_t> cursor(class_start_.begin(), class_start_.end() - 1);
-        order_.resize(p);
-        for (std::size_t i = 0; i < p; ++i) {
-            const std::size_t c = class_of(m_.distance(us_[i], vs_[i]), num_classes);
-            order_[cursor[c]++] = static_cast<std::uint32_t>(i);
-        }
+        class_start_.push_back(static_cast<std::uint32_t>(order_.size()));
     }
 
     bool next_chunk(std::size_t soft_cap, std::vector<GreedyCandidate>& out) override {
@@ -235,21 +213,10 @@ public:
     }
 
 private:
-    /// Geometric class index: 0 for w == 0, else 1 + floor(log2(w / wpos)).
-    /// Monotone in w, and a pure function of w (equal weights share a
-    /// class) -- the two properties the ordering proof needs.
-    [[nodiscard]] std::size_t class_of(double w, std::size_t num_classes) const {
-        if (!(w > 0.0) || !std::isfinite(wpos_)) return 0;
-        const double c = 1.0 + std::floor(std::log2(w / wpos_));
-        if (c <= 1.0) return 1;
-        return std::min(num_classes - 1, static_cast<std::size_t>(c));
-    }
-
     const EuclideanMetric& m_;
     std::vector<VertexId> us_, vs_;        ///< representative pairs (u < v)
     std::vector<std::uint32_t> order_;     ///< pair indices in class order
-    std::vector<std::uint32_t> class_start_;  ///< prefix offsets into order_
-    double wpos_ = std::numeric_limits<double>::infinity();
+    std::vector<std::uint32_t> class_start_;  ///< class offsets into order_, then size
     std::size_t next_class_ = 0;
     std::vector<GreedyCandidate> scratch_;  ///< the one resident class
     std::size_t served_ = 0;

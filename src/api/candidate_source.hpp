@@ -157,9 +157,10 @@ public:
 
     /// Linear-space chunk generation: the dumbbell representative pairs are
     /// kept as two u32 arrays (12 bytes/pair with the class-order permutation,
-    /// vs 24 for materialized candidates), partitioned into geometric weight
-    /// classes by a counting pass that recomputes each weight on the fly, and
-    /// served class by class -- only one class's candidates are ever resident.
+    /// vs 16 for a materialized candidate), partitioned into octave weight
+    /// classes (the binary exponent of each weight, recomputed on the fly),
+    /// and served class by class -- only one class's candidates are ever
+    /// resident.
     [[nodiscard]] ChunkSupport chunk_support() const override { return ChunkSupport::kStreaming; }
     [[nodiscard]] std::unique_ptr<CandidateChunkSource> chunks() override;
 

@@ -49,8 +49,9 @@ void GridCandidateSource::configure_engine(GreedyEngineOptions& options, Spanner
     // cells' candidates consult them. Once the spanner stops growing --
     // long before the candidates run out -- those witness bounds decide
     // the all-reject tail without a probe. 32 ways keep them alive for
-    // 384 bytes per vertex and an O(ways) branch-free consult.
-    if (options.sketch_ways == EngineTuning{}.sketch_ways) {
+    // 384 bytes per vertex and an O(ways) branch-free consult. An explicit
+    // associativity wins: 0 is the only "unset" value.
+    if (options.sketch_ways == 0) {
         options.sketch_ways = 32;
     }
     // Spanner edge weights are exactly the metric distances of their

@@ -11,9 +11,9 @@ void EngineTuning::validate() const {
     if (parallel_batch == 0) {
         throw std::invalid_argument("EngineTuning: parallel_batch must be >= 1");
     }
-    if (sketch_ways == 0 || (sketch_ways & (sketch_ways - 1)) != 0) {
+    if ((sketch_ways & (sketch_ways - 1)) != 0) {
         throw std::invalid_argument(
-            "EngineTuning: sketch_ways must be a power of two >= 1");
+            "EngineTuning: sketch_ways must be 0 (the source's choice) or a power of two");
     }
     if (chunk_soft_cap == 0) {
         throw std::invalid_argument("EngineTuning: chunk_soft_cap must be >= 1");

@@ -28,7 +28,6 @@ class MetricSpace;
 struct EngineTuning {
     bool bidirectional = true;  ///< meet-in-the-middle point queries
     bool ball_sharing = true;   ///< per-bucket shared balls + lazy revalidation
-    bool csr_snapshot = true;   ///< incremental gap-buffered CSR adjacency
     bool bound_sketch = true;   ///< cross-bucket per-vertex bound sketch
 
     /// Worker count for the parallel prefilter stage: 1 = fully serial,
@@ -53,8 +52,10 @@ struct EngineTuning {
     /// >= 0.
     double parallel_accept_gate = 0.25;
 
-    /// Bound-sketch associativity: slots per vertex (power of two).
-    std::size_t sketch_ways = BoundSketch::kDefaultWays;
+    /// Bound-sketch associativity: slots per vertex, a power of two, or 0
+    /// for the source's choice (the grid source picks 32; every other
+    /// source leaves BoundSketch::kDefaultWays). An explicit value wins.
+    std::size_t sketch_ways = 0;
 
     /// Geometric ratio of the weight buckets that pace ball sharing, CSR
     /// rebuilds, and landmark-table refreshes (mu in the paper's sketch).
@@ -92,14 +93,15 @@ struct EngineTuning {
     /// which is decision preserving like every other field here.
     std::size_t chunk_soft_cap = 1 << 16;
 
-    /// The naive reference kernel: every optimisation off, one one-sided
-    /// distance-limited Dijkstra per candidate. What old-vs-new
-    /// equivalence suites compare everything against.
+    /// Every optimisation off: one one-sided distance-limited Dijkstra per
+    /// candidate on the engine's CSR view -- the baseline the ablation
+    /// benches time the others against. The equivalence suites check edge
+    /// sets against an independent textbook loop instead
+    /// (tests/reference_greedy.hpp), which shares none of the engine.
     [[nodiscard]] static EngineTuning naive() {
         EngineTuning t;
         t.bidirectional = false;
         t.ball_sharing = false;
-        t.csr_snapshot = false;
         t.bound_sketch = false;
         t.num_threads = 1;
         return t;
@@ -107,7 +109,7 @@ struct EngineTuning {
 
     /// Throws std::invalid_argument when a field is out of range
     /// (bucket_ratio <= 1, a zero parallel_batch or chunk_soft_cap,
-    /// sketch_ways not a power of two, a negative or NaN
+    /// sketch_ways neither 0 nor a power of two, a negative or NaN
     /// parallel_accept_gate).
     void validate() const;
 };

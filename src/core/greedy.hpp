@@ -107,10 +107,11 @@ struct GreedyStats {
 /// handled naturally: the second copy is rejected because the first copy is
 /// a path of equal weight (<= t * w since t >= 1).
 ///
-/// Runs on the full-featured GreedyEngine (bidirectional bounded Dijkstra,
-/// per-bucket ball sharing, CSR snapshots) through a one-shot session; use
-/// a SpannerSession with BuildOptions (src/api/session.hpp) to select
-/// individual optimisations, parallelism, or warm-started repeated builds.
+/// Runs on the full-featured GreedyEngine (bidirectional bounded Dijkstra
+/// on an incremental CSR view, per-bucket ball sharing, the bound sketch)
+/// through a one-shot session; use a SpannerSession with BuildOptions
+/// (src/api/session.hpp) to select individual optimisations, parallelism,
+/// or warm-started repeated builds.
 /// Every configuration returns the same edge set. `*stats` is zeroed
 /// before any work (never additive across calls).
 Graph greedy_spanner(const Graph& g, double t, GreedyStats* stats = nullptr);

@@ -31,30 +31,6 @@ constexpr double kCellRejectRadiusFactor = 1.3;
 /// vertex, so a consult reads four lines for its two rows.
 constexpr std::size_t kLandmarkCount = 16;
 
-/// Queries run directly on the growing Graph (csr_snapshot off).
-struct LiveAdapter {
-    const Graph* h = nullptr;
-    void snapshot(const Graph& g) { h = &g; }
-    static void add_edge(VertexId, VertexId, Weight, EdgeId) {}
-    [[nodiscard]] const Graph& view() const { return *h; }
-    [[nodiscard]] static std::size_t rebuilds() { return 0; }
-    [[nodiscard]] static std::size_t compactions() { return 0; }
-};
-
-/// Queries run on the gap-buffered incremental CSR mirror (csr_snapshot
-/// on): contiguous per-vertex scans, kept exact at O(degree) per insertion
-/// -- "snapshots" after the first build are free no-ops, so stage-2
-/// facts never pay a refreeze and accept-heavy batches cost no O(n + m)
-/// rebuilds.
-struct IncrementalAdapter {
-    IncrementalCsrView v;
-    void snapshot(const Graph& g) { v.refresh(g); }
-    void add_edge(VertexId a, VertexId b, Weight w, EdgeId id) { v.add_edge(a, b, w, id); }
-    [[nodiscard]] const IncrementalCsrView& view() const { return v; }
-    [[nodiscard]] std::size_t rebuilds() const { return v.rebuilds(); }
-    [[nodiscard]] std::size_t compactions() const { return v.compactions(); }
-};
-
 /// Refresh economics of the landmark table, knob-free. A refresh costs
 /// k * (n + 2|E_H|) push-equivalents (every vertex and adjacency entry
 /// once per tree), so it is bought only when the previous bucket spent at
@@ -178,14 +154,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h,
     }
     GreedyStats local;
     SpanCandidateFeed feed(candidates, options_.bucket_ratio);
-    Graph out(0);
-    if (options_.csr_snapshot) {
-        IncrementalAdapter adapter;
-        out = run_impl(adapter, std::move(h), feed, local);
-    } else {
-        LiveAdapter adapter;
-        out = run_impl(adapter, std::move(h), feed, local);
-    }
+    IncrementalCsrView view;
+    Graph out = run_impl(view, std::move(h), feed, local);
     local.seconds = timer.seconds();
     if (stats != nullptr) *stats = local;
     return out;
@@ -203,21 +173,15 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run(Graph h, CandidateChunkSource& source,
     GreedyStats local;
     ChunkedCandidateStream feed(source, buffer, options_.bucket_ratio,
                                 options_.chunk_soft_cap, options_.stretch);
-    Graph out(0);
-    if (options_.csr_snapshot) {
-        IncrementalAdapter adapter;
-        out = run_impl(adapter, std::move(h), feed, local);
-    } else {
-        LiveAdapter adapter;
-        out = run_impl(adapter, std::move(h), feed, local);
-    }
+    IncrementalCsrView view;
+    Graph out = run_impl(view, std::move(h), feed, local);
     local.seconds = timer.seconds();
     if (stats != nullptr) *stats = local;
     return out;
 }
 
-template <class Adapter, class Feed>
-GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& feed,
+template <class Feed>
+GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(IncrementalCsrView& view, Graph h, Feed& feed,
                                              GreedyStats& stats) {
     // Every expensive array below lives in the (possibly session-shared)
     // resources; a warm build reuses them all. Per-run state is reset
@@ -261,13 +225,17 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         ball_radius.assign(n_, 0.0);
     }
     if (parallel) prefilter_stage.begin_run(workers_);
-    if (use_sketch) sketch.reset(n_, options_.sketch_ways);
-    // The landmark table rides on the sketch switch, so the naive
-    // reference (sketch off) stays untouched. It is emptied either way: a
-    // warm session's table from an earlier build must never answer for
-    // this one. Probe work is metered as deltas of the workspaces'
-    // cumulative push counters: warm and fresh resources see the same
-    // deltas.
+    if (use_sketch) {
+        // sketch_ways == 0 leaves the associativity to the source; none
+        // chose one, so the sketch's default stands.
+        sketch.reset(n_, options_.sketch_ways != 0 ? options_.sketch_ways
+                                                   : BoundSketch::kDefaultWays);
+    }
+    // The landmark table rides on the sketch switch, so naive() (sketch
+    // off) never builds one. It is emptied either way: a warm session's
+    // table from an earlier build must never answer for this one. Probe
+    // work is metered as deltas of the workspaces' cumulative push
+    // counters: warm and fresh resources see the same deltas.
     landmarks.reset(use_sketch ? n_ : 0, kLandmarkCount);
     LandmarkRefreshRule landmark_rule;
     landmark_rule.live = use_sketch;
@@ -329,10 +297,11 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
         const std::span<const GreedyCandidate> bw = feed.window(bucket);
         const CandidateBucket lbucket{0, bucket.size(), bucket.lo, bucket.hi};
 
-        // Synchronize the adjacency view. With the incremental store this
-        // is a full build exactly once per run (then a free no-op: the
-        // view mirrors every insertion at O(degree) as it happens).
-        adapter.snapshot(h);
+        // Synchronize the adjacency view: a full build exactly once per
+        // run, then a free no-op (the gap-buffered CSR mirror of
+        // graph/incremental_csr.hpp follows every insertion at O(degree)
+        // as it happens, so stage-2 facts never pay a refreeze).
+        view.refresh(h);
         if (landmark_rule.live) {
             const std::size_t work_now = probe_work();
             const std::size_t cost = landmarks.refresh_cost(2 * h.num_edges());
@@ -342,7 +311,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                 // keeps its trees; the refresh still counts and rebases
                 // the rule, so decisions and stats are those of a
                 // recompute.
-                landmarks.refresh(adapter.view(), h.num_edges());
+                landmarks.refresh(view, h.num_edges());
                 ++stats.landmark_refreshes;
                 landmark_rule.refreshed(cost, stats, work_now);
             }
@@ -387,12 +356,12 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             Weight d;
             if (goal != nullptr) {
                 d = ws.distance_goal_directed(
-                    adapter.view(), anchor, target, threshold,
+                    view, anchor, target, threshold,
                     [goal, target](VertexId x) { return goal->distance(x, target); });
             } else if (two_sided) {
-                d = ws.distance_bidirectional(adapter.view(), anchor, target, threshold);
+                d = ws.distance_bidirectional(view, anchor, target, threshold);
             } else {
-                d = ws.distance(adapter.view(), anchor, target, threshold);
+                d = ws.distance(view, anchor, target, threshold);
             }
             if (!sharing) return d;
             update_ema(point_cost, static_cast<double>(ws.last_work()));
@@ -468,7 +437,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             ctx.snapshot_epoch = snapshot_epoch;
             ctx.sketch = use_sketch ? &sketch : nullptr;
             ctx.landmarks = landmarks.ready() ? &landmarks : nullptr;
-            prefilter_stage.run_batch(*pool_, ws_pool, adapter.view(), ctx, bound,
+            prefilter_stage.run_batch(*pool_, ws_pool, view, ctx, bound,
                                       ball_bucket, ball_epoch, ball_radius, stats);
         }
 
@@ -634,7 +603,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                         if (local == li) li_far = true;
                     };
                     const PrefilterKernel::Outcome outcome =
-                        res.prefilter_kernel_.decide_group(probe, adapter.view(), anchor,
+                        res.prefilter_kernel_.decide_group(probe, view, anchor,
                                                            bw, 0, grp, t, is_undecided,
                                                            bound, mark_far);
                     ++stats.dijkstra_runs;
@@ -689,7 +658,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
                     ++stats.dijkstra_runs;
                     ++stats.balls_computed;
                     if (anchored) ++stats.cell_balls;
-                    const auto& settled = ws.ball(adapter.view(), anchor, radius);
+                    const auto& settled = ws.ball(view, anchor, radius);
                     update_ema(ball_cost, static_cast<double>(ws.last_work()));
                     if (use_sketch) {
                         // Every settled distance is a witness path: the
@@ -750,7 +719,7 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
             if (!accept) continue;
 
             const EdgeId id = h.add_edge(c.u, c.v, c.weight);
-            adapter.add_edge(c.u, c.v, c.weight, id);
+            view.add_edge(c.u, c.v, c.weight, id);
             ++stats.edges_added;
             ++insert_epoch;
             // The accepted edge is now a one-edge u-v witness.
@@ -787,8 +756,8 @@ GSP_SERIAL_ONLY Graph GreedyEngine::run_impl(Adapter& adapter, Graph h, Feed& fe
     stats.bidirectional_meets =
         ws.meet_events() + ws_pool.total_meet_events() - meets_before;
     stats.probe_pushes = probe_work() - work_before;
-    stats.csr_rebuilds = adapter.rebuilds();
-    stats.csr_compactions = adapter.compactions();
+    stats.csr_rebuilds = view.rebuilds();
+    stats.csr_compactions = view.compactions();
     stats.candidates_streamed = feed.streamed();
     stats.candidate_buffer_peak_bytes = feed.peak_buffer_bytes();
     return h;

@@ -32,13 +32,17 @@
 //
 // Because stage-2 facts are sound upper bounds / exact snapshot distances
 // and every stale accept is re-verified, the edge set is bit-identical to
-// the naive kernel at every thread count.
+// the textbook loop (sort, then one bounded Dijkstra per candidate on the
+// plain Graph -- tests/reference_greedy.hpp) at every thread count.
 //
-// The serial kernel's stacked optimisations (bidirectional, ball_sharing,
-// csr_snapshot, bound_sketch with its landmark table -- see
-// core/engine_tuning.hpp and core/landmark_bounds.hpp) are
-// individually toggleable for the ablation benches and *decision
-// preserving*: every configuration returns the same edge set.
+// Every probe runs on one adjacency view: the gap-buffered incremental CSR
+// mirror of the growing spanner (graph/incremental_csr.hpp), built once per
+// run and kept exact at O(degree) per insertion. The serial kernel's
+// stacked optimisations (bidirectional, ball_sharing, bound_sketch with its
+// landmark table -- see core/engine_tuning.hpp and
+// core/landmark_bounds.hpp) are individually toggleable for the ablation
+// benches and *decision preserving*: every configuration returns the same
+// edge set.
 //
 // How a source group shares work is not a knob. The candidate source
 // states it: the grid source sets `cell_batching` (one drained cell ball
@@ -75,6 +79,7 @@
 #include "core/prefilter_stage.hpp"
 #include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
+#include "graph/incremental_csr.hpp"
 #include "graph/types.hpp"
 #include "util/thread_pool.hpp"
 
@@ -192,8 +197,11 @@ public:
 private:
     void init();  ///< shared constructor tail: validation + pool acquisition
 
-    template <class Adapter, class Feed>
-    GSP_SERIAL_ONLY Graph run_impl(Adapter& adapter, Graph h, Feed& feed,
+    /// The pipeline over one candidate feed (a sorted span or a chunk
+    /// stream). Every probe queries `view`, the run's gap-buffered CSR
+    /// mirror of `h`.
+    template <class Feed>
+    GSP_SERIAL_ONLY Graph run_impl(IncrementalCsrView& view, Graph h, Feed& feed,
                                    GreedyStats& stats);
 
     [[nodiscard]] bool parallel_enabled() const { return pool_ != nullptr; }
@@ -209,7 +217,7 @@ private:
 
 /// The candidate list of a graph input: all edges of g sorted by
 /// (weight, min endpoint, max endpoint, edge id) -- the deterministic tie
-/// order the naive kernel has always used. The appending form writes into
+/// order greedy_spanner has always used. The appending form writes into
 /// the caller's buffer (the session's reused materialization buffer: no
 /// per-build allocation on the warm path); the value form allocates.
 void append_sorted_graph_candidates(const Graph& g, std::vector<GreedyCandidate>& out);

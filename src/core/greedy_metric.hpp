@@ -5,7 +5,8 @@
 // observationally identical):
 //
 //  * the naive greedy -- one one-sided distance-limited Dijkstra per pair
-//    (every engine optimisation off; EngineTuning::naive());
+//    (every engine optimisation off; EngineTuning::naive()), which is the
+//    textbook loop of tests/reference_greedy.hpp run on the engine's view;
 //  * the cached greedy -- the full engine: per-bucket shared balls cache
 //    spanner distances as upper bounds in the Farshi-Gudmundsson style (the
 //    practical variant behind the O(n^2 log n) bound the paper cites as

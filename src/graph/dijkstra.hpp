@@ -16,9 +16,9 @@
 //      first such neighbor.
 //
 // The query methods are templated over the adjacency view so the same code
-// runs on the mutable `Graph`, on frozen `CsrOverlayView` snapshots, and on
-// the engine's gap-buffered `IncrementalCsrView` (the probe entry points the
-// greedy pipeline feeds them). A view must provide `num_vertices()` and
+// runs on the mutable `Graph` and on the engine's gap-buffered
+// `IncrementalCsrView` (the probe entry points the greedy pipeline feeds
+// them). A view must provide `num_vertices()` and
 // `neighbors(v)` yielding a range of `HalfEdge`; a view whose every run is
 // nondecreasing in weight declares `static constexpr bool
 // kWeightSortedRuns = true` (see kHasWeightSortedRuns).

@@ -1,13 +1,12 @@
 // Incremental gap-buffered CSR adjacency.
 //
-// CsrOverlayView (csr_view.hpp) freezes the adjacency once per batch and
-// chains a per-vertex overlay: refreshing it is a full O(n + m) rebuild, so
-// the greedy engine could only afford one per batch.
-// IncrementalCsrView removes that refreeze entirely: each vertex owns a
-// *gap-buffered run* inside one arena -- a contiguous slice with slack
-// capacity after its live entries -- so mirroring one inserted edge is an
-// O(1) append into the gap (O(degree) when the gap is exhausted and the run
-// relocates to the arena tail with doubled capacity). Relocations abandon
+// The greedy engine's one adjacency view. A frozen CSR snapshot would
+// cost a full O(n + m) rebuild per refresh; IncrementalCsrView never
+// refreezes. Each vertex owns a *gap-buffered run* inside one arena -- a
+// contiguous slice with slack capacity after its live entries -- so
+// mirroring one inserted edge is an O(1) append into the gap (O(degree)
+// when the gap is exhausted and the run relocates to the arena tail with
+// doubled capacity). Relocations abandon
 // dead slots; when dead slots occupy a third of the arena, one amortized
 // merge-on-threshold compaction rebuilds the arena with fresh slack.
 // The view is therefore *always exact* on the mirrored graph at per-insert
@@ -24,7 +23,7 @@
 // unsorted seed (e.g. greedy-approx's E0 edges). Relocation and compaction
 // copy runs in order.
 //
-// Thread-safety matches CsrOverlayView: all const members read only
+// Thread-safety: all const members read only
 // immutable-between-mutations state, so any number of threads may query
 // concurrently as long as no thread is inside `refresh`/`add_edge`. The
 // greedy engine's parallel prefilter stage fans read-only probes over the

@@ -3,7 +3,7 @@
 //
 // Every greedy decision must be a pure function of (candidate order, exact
 // distances): that is what makes the chunked / parallel builds
-// bit-identical to the serial naive reference. The property tests and the
+// bit-identical to the textbook greedy loop. The property tests and the
 // sanitizer CI legs enforce that contract *dynamically*; these macros make
 // it *static*. Each annotation names one invariant class, and
 // scripts/lint/gsp_lint.py carries one checker per annotation (plus a

@@ -1,9 +1,10 @@
 // API equivalence: every registry entry built through a SpannerSession
 // must be bit-identical to its one-shot convenience entry point or
 // baseline construction (property-tested across {graph, metric,
-// euclidean} inputs and thread counts {1, 2, 4, hardware}), and a session
-// reused across heterogeneous builds must match fresh sessions exactly --
-// edge sets *and* stats.
+// euclidean} inputs and thread counts {1, 2, 4, hardware}) -- and, for the
+// greedy entries, to the textbook loop of reference_greedy.hpp over the
+// same candidates -- and a session reused across heterogeneous builds must
+// match fresh sessions exactly -- edge sets *and* stats.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "spanners/theta_graph.hpp"
 #include "spanners/wspd_spanner.hpp"
 #include "spanners/yao_graph.hpp"
+#include "reference_greedy.hpp"
 #include "util/random.hpp"
 
 namespace gsp {
@@ -62,7 +64,9 @@ TEST_P(ApiEquivalenceTest, GreedyRegistryEntryMatchesConvenienceAtEveryThreadCou
     Rng rng(GetParam());
     const Graph g = erdos_renyi(70, 0.2, {.lo = 0.5, .hi = 3.0}, rng);
     const double t = 1.8;
+    const Graph reference = reference_greedy(g, t);
     const Graph legacy = greedy_spanner(g, t);
+    EXPECT_TRUE(same_edge_set(legacy, reference));
     for (const std::size_t threads : kThreadCounts) {
         SpannerSession session;
         BuildOptions options;
@@ -70,7 +74,7 @@ TEST_P(ApiEquivalenceTest, GreedyRegistryEntryMatchesConvenienceAtEveryThreadCou
         options.engine.num_threads = threads;
         const Graph h = AlgorithmRegistry::global().build("greedy", session,
                                                           BuildInput::of(g), options);
-        EXPECT_TRUE(same_edge_set(h, legacy)) << "threads=" << threads;
+        EXPECT_TRUE(same_edge_set(h, reference)) << "threads=" << threads;
     }
 }
 
@@ -78,7 +82,10 @@ TEST_P(ApiEquivalenceTest, MetricRegistryEntryMatchesConvenienceAtEveryThreadCou
     Rng rng(GetParam() ^ 0xabcd);
     const EuclideanMetric pts = uniform_points(45, 2, 60.0, rng);
     const double t = 1.4;
+    MetricCandidateSource source(pts);
+    const Graph reference = reference_greedy(source, t);
     const Graph legacy = greedy_spanner_metric(pts, t);
+    EXPECT_TRUE(same_edge_set(legacy, reference));
     for (const std::size_t threads : kThreadCounts) {
         SpannerSession session;
         BuildOptions options;
@@ -86,22 +93,26 @@ TEST_P(ApiEquivalenceTest, MetricRegistryEntryMatchesConvenienceAtEveryThreadCou
         options.engine.num_threads = threads;
         const Graph h = AlgorithmRegistry::global().build(
             "greedy-metric", session, BuildInput::of(pts), options);
-        EXPECT_TRUE(same_edge_set(h, legacy)) << "threads=" << threads;
+        EXPECT_TRUE(same_edge_set(h, reference)) << "threads=" << threads;
     }
 }
 
 TEST_P(ApiEquivalenceTest, ApproxRegistryEntryMatchesConvenienceAtEveryThreadCount) {
     Rng rng(GetParam() ^ 0x7777);
     const EuclideanMetric pts = uniform_points(120, 2, 80.0, rng);
+    BuildOptions options;
+    options.approx.epsilon = 0.5;
+    // The simulation: E0 seeded, the rest of G' decided at t_sim.
+    BaseSpannerCandidateSource source(pts, options);
+    const Graph reference = reference_greedy(source, source.t_sim());
     const ApproxGreedyResult legacy = approx_greedy_spanner(pts, 0.5);
+    EXPECT_TRUE(same_edge_set(legacy.spanner, reference));
     for (const std::size_t threads : kThreadCounts) {
         SpannerSession session;
-        BuildOptions options;
-        options.approx.epsilon = 0.5;
         options.engine.num_threads = threads;
         const Graph h = AlgorithmRegistry::global().build(
             "greedy-approx", session, BuildInput::of(pts), options);
-        EXPECT_TRUE(same_edge_set(h, legacy.spanner)) << "threads=" << threads;
+        EXPECT_TRUE(same_edge_set(h, reference)) << "threads=" << threads;
     }
 }
 
@@ -136,17 +147,16 @@ TEST_P(ApiEquivalenceTest, BaselineRegistryEntriesMatchTheirDirectConstructors) 
         baswana_sen_spanner(g, 2, GetParam())));
 }
 
-TEST_P(ApiEquivalenceTest, WspdGreedyIsDeterministicAndThreadCountInvariant) {
-    // greedy-wspd is new with this API (no legacy entry point): pin down
-    // determinism and thread-count invariance instead.
+TEST_P(ApiEquivalenceTest, WspdGreedyMatchesReferenceAtEveryThreadCount) {
+    // greedy-wspd has no legacy entry point: the reference over the same
+    // WSPD pairs is its only oracle.
     Rng rng(GetParam() ^ 0x2468);
     const EuclideanMetric pts = uniform_points(80, 2, 70.0, rng);
     BuildOptions options;
     options.stretch = 1.5;
     options.geometric.wspd_separation = 10.0;
-    SpannerSession reference_session;
-    const Graph reference = AlgorithmRegistry::global().build(
-        "greedy-wspd", reference_session, BuildInput::of(pts), options);
+    WspdCandidateSource source(pts, 10.0);
+    const Graph reference = reference_greedy(source, 1.5);
     for (const std::size_t threads : kThreadCounts) {
         SpannerSession session;
         options.engine.num_threads = threads;

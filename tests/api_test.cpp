@@ -42,6 +42,9 @@ TEST(BuildOptionsTest, ValidatesTheSharedFields) {
     BuildOptions bad_ways;
     bad_ways.engine.sketch_ways = 3;
     EXPECT_THROW(bad_ways.validate(), std::invalid_argument);
+    BuildOptions source_ways;  // 0: the candidate source picks
+    source_ways.engine.sketch_ways = 0;
+    EXPECT_NO_THROW(source_ways.validate());
 
     BuildOptions bad_batch;
     bad_batch.engine.parallel_batch = 0;

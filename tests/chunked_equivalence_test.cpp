@@ -1,11 +1,11 @@
 // Chunked-vs-materialized bit-identity: a build routed through the
 // streaming candidate path (BuildOptions::Chunking::kChunked) must return
-// the same edge set and the same decision stats as the materializing path
-// (kMaterialize), across every source family {graph, metric, wspd, grid},
-// thread counts {1, 2, 4, hardware}, and chunk sizes down to a single
-// candidate per pull. Chunk boundaries only ever split weight buckets,
-// which the engine's bucketing makes decision preserving -- this suite is
-// that claim, property-tested.
+// the edge set of the textbook greedy loop (reference_greedy.hpp) and the
+// same decision stats as the materializing path (kMaterialize), across
+// every source family {graph, metric, wspd, grid}, thread counts {1, 2, 4,
+// hardware}, and chunk sizes down to a single candidate per pull. Chunk
+// boundaries only ever split weight buckets, which the engine's bucketing
+// makes decision preserving -- this suite is that claim, property-tested.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "gen/graphs.hpp"
 #include "gen/points.hpp"
 #include "graph/graph.hpp"
+#include "reference_greedy.hpp"
 #include "util/random.hpp"
 
 namespace gsp {
@@ -37,14 +38,17 @@ void expect_decisions_equal(const GreedyStats& a, const GreedyStats& b,
     EXPECT_EQ(a.candidates_streamed, b.candidates_streamed) << label;
 }
 
-/// Build twice -- materializing reference vs chunked at every chunk cap --
-/// and compare edge sets and decision stats.
+/// Build materialized, then chunked at every chunk cap, and compare edge
+/// sets with the textbook reference and decision stats with the
+/// materialized build.
 void check_source(CandidateSource& source, BuildOptions options, const std::string& what) {
+    const Graph reference = reference_greedy(source, options.stretch);
     options.chunking = BuildOptions::Chunking::kMaterialize;
-    SpannerSession reference_session;
-    BuildReport reference_report;
-    const Graph reference =
-        reference_session.build(source, options, &reference_report);
+    SpannerSession materialized_session;
+    BuildReport materialized_report;
+    const Graph materialized =
+        materialized_session.build(source, options, &materialized_report);
+    EXPECT_TRUE(same_edge_set(materialized, reference)) << what << " materialized";
 
     for (const std::size_t threads : kThreadCounts) {
         for (const std::size_t cap : kChunkCaps) {
@@ -58,10 +62,10 @@ void check_source(CandidateSource& source, BuildOptions options, const std::stri
             BuildReport report;
             const Graph h = session.build(source, chunked, &report);
             EXPECT_TRUE(same_edge_set(h, reference)) << label;
-            expect_decisions_equal(report.stats, reference_report.stats, label);
-            EXPECT_EQ(report.candidates, reference_report.candidates) << label;
-            EXPECT_EQ(report.edges, reference_report.edges) << label;
-            EXPECT_EQ(report.weight, reference_report.weight) << label;
+            expect_decisions_equal(report.stats, materialized_report.stats, label);
+            EXPECT_EQ(report.candidates, materialized_report.candidates) << label;
+            EXPECT_EQ(report.edges, materialized_report.edges) << label;
+            EXPECT_EQ(report.weight, materialized_report.weight) << label;
         }
     }
 }

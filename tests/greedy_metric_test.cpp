@@ -13,6 +13,7 @@
 #include "graph/graph.hpp"
 #include "metric/euclidean.hpp"
 #include "metric/matrix_metric.hpp"
+#include "reference_greedy.hpp"
 #include "util/random.hpp"
 
 namespace gsp {
@@ -81,15 +82,18 @@ class CacheEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t, std::size_t, double>> {
 };
 
-TEST_P(CacheEquivalenceTest, CachedAndNaiveAgreeExactly) {
+TEST_P(CacheEquivalenceTest, CachedAndNaiveMatchTheReference) {
     const auto [seed, n, dim, t] = GetParam();
     Rng rng(seed);
     const EuclideanMetric m = random_points(n, dim, rng);
+    MetricCandidateSource source(m);
+    const Graph reference = reference_greedy(source, t);
     GreedyStats cached_stats;
     GreedyStats naive_stats;
     const Graph cached = metric_spanner_with(m, t, /*cached=*/true, 1, &cached_stats);
     const Graph naive = metric_spanner_with(m, t, /*cached=*/false, 1, &naive_stats);
-    EXPECT_TRUE(same_edge_set(cached, naive));
+    EXPECT_TRUE(same_edge_set(cached, reference));
+    EXPECT_TRUE(same_edge_set(naive, reference));
     // The cache must never run *more* Dijkstras than the naive loop.
     EXPECT_LE(cached_stats.dijkstra_runs, naive_stats.dijkstra_runs);
 }
@@ -100,17 +104,18 @@ INSTANTIATE_TEST_SUITE_P(RandomPointSets, CacheEquivalenceTest,
                                             ::testing::Values(1u, 2u, 3u),
                                             ::testing::Values(1.1, 1.5, 2.0)));
 
-TEST(GreedyMetricTest, ParallelCachedEngineMatchesNaiveAtEveryThreadCount) {
+TEST(GreedyMetricTest, ParallelCachedEngineMatchesReferenceAtEveryThreadCount) {
     // Acceptance criterion: greedy_spanner_metric with the incremental
-    // store and bound sketch enabled is bit-identical to the naive kernel
-    // at thread counts {1, 2, 4, hardware}.
+    // store and bound sketch enabled is bit-identical to the textbook
+    // reference at thread counts {1, 2, 4, hardware}.
     for (const std::uint64_t seed : {4u, 31u}) {
         Rng rng(seed);
         const EuclideanMetric m = random_points(48, 2, rng);
-        const Graph naive = metric_spanner_with(m, 1.5, /*cached=*/false);
+        MetricCandidateSource source(m);
+        const Graph reference = reference_greedy(source, 1.5);
         for (const std::size_t threads : {1u, 2u, 4u, 0u}) {
             const Graph cached = metric_spanner_with(m, 1.5, /*cached=*/true, threads);
-            EXPECT_TRUE(same_edge_set(cached, naive))
+            EXPECT_TRUE(same_edge_set(cached, reference))
                 << "seed " << seed << " num_threads=" << threads;
         }
     }

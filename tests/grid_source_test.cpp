@@ -171,6 +171,33 @@ TEST(GridSourceTest, RegistryEntryBuildsAndValidates) {
     EXPECT_TRUE(info->uses_engine);
 }
 
+TEST(GridSourceTest, ExplicitSketchWaysWinOverTheGridDefault) {
+    // sketch_ways = 0 lets the grid pick its 32 ways; an explicit 4 must
+    // reach the engine as 4. Fewer ways evict anchors the via-landmark
+    // reject needs, so the counters move while the edges do not.
+    Rng rng(123);
+    const EuclideanMetric pts = uniform_points(800, 2, 200.0, rng);
+    const auto build = [&](std::size_t ways, BuildReport& report) {
+        GridCandidateSource source(pts, 5.0);
+        SpannerSession session;
+        BuildOptions options;
+        options.stretch = 2.0;
+        options.engine.sketch_ways = ways;
+        return session.build(source, options, &report);
+    };
+    BuildReport chosen;
+    BuildReport explicit4;
+    const Graph a = build(0, chosen);
+    const Graph b = build(4, explicit4);
+    EXPECT_EQ(edge_sequence_digest(a), edge_sequence_digest(b));
+    EXPECT_GT(chosen.stats.coarse_rejects, 0u);
+    EXPECT_NE(chosen.stats.coarse_rejects, explicit4.stats.coarse_rejects);
+    // An explicit 32 is the grid's own choice, counter for counter.
+    BuildReport explicit32;
+    (void)build(32, explicit32);
+    EXPECT_EQ(chosen.stats.coarse_rejects, explicit32.stats.coarse_rejects);
+}
+
 TEST(GridSourceTest, RejectsBadSeparationAndNon2D) {
     Rng rng(29);
     const EuclideanMetric pts2 = uniform_points(10, 2, 5.0, rng);

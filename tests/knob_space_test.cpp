@@ -1,8 +1,9 @@
 // Knob-space differential test: every decision-preserving EngineTuning
 // field, drawn at random together with the candidate source kind {graph,
 // metric, wspd, grid}, the worker count {1, 2, 4, hardware}, the chunk
-// cap and the chunking mode, must build exactly the edge set of
-// EngineTuning::naive() on the same candidate sequence.
+// cap and the chunking mode, must build exactly the edge set of the
+// textbook greedy loop (reference_greedy.hpp) on the same candidate
+// sequence.
 //
 // Each draw (instance *and* settings) is a pure function of its draw
 // seed, which every failure message prints. Replay one draw with
@@ -30,6 +31,7 @@
 #include "gen/points.hpp"
 #include "graph/graph.hpp"
 #include "metric/euclidean.hpp"
+#include "reference_greedy.hpp"
 #include "util/random.hpp"
 
 namespace gsp {
@@ -80,14 +82,13 @@ Draw draw_settings(Rng& rng) {
     EngineTuning& e = d.options.engine;
     e.bidirectional = rng.chance(0.5);
     e.ball_sharing = rng.chance(0.7);
-    e.csr_snapshot = rng.chance(0.5);
     e.bound_sketch = rng.chance(0.6);
     e.num_threads = pick(rng, {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                std::size_t{0}});
     e.parallel_batch = pick(rng, {std::size_t{1}, std::size_t{7}, std::size_t{64},
                                   std::size_t{2048}});
     e.parallel_accept_gate = pick(rng, {0.0, 0.1, 0.25, 0.6, 1.0});
-    e.sketch_ways = pick(rng, {std::size_t{1}, std::size_t{2}, std::size_t{4},
+    e.sketch_ways = pick(rng, {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4},
                                std::size_t{8}, std::size_t{16}, std::size_t{32},
                                std::size_t{64}});
     e.bucket_ratio = pick(rng, {1.05, 1.5, 2.0, 4.0});
@@ -105,7 +106,7 @@ Draw draw_settings(Rng& rng) {
     std::ostringstream os;
     os << "source=" << source_name(d.kind) << " t=" << d.stretch
        << " bidirectional=" << e.bidirectional << " ball_sharing=" << e.ball_sharing
-       << " csr_snapshot=" << e.csr_snapshot << " bound_sketch=" << e.bound_sketch
+       << " bound_sketch=" << e.bound_sketch
        << " num_threads=" << e.num_threads
        << " parallel_batch=" << e.parallel_batch
        << " parallel_accept_gate=" << e.parallel_accept_gate
@@ -117,19 +118,7 @@ Draw draw_settings(Rng& rng) {
     return d;
 }
 
-/// The reference: the naive kernel over the source's materialized
-/// candidate sequence, bypassing every source-side engine override.
-Graph naive_build(CandidateSource& source, double stretch) {
-    std::vector<GreedyCandidate> candidates;
-    source.materialize(candidates);
-    GreedyEngineOptions options;
-    static_cast<EngineTuning&>(options) = EngineTuning::naive();
-    options.stretch = stretch;
-    GreedyEngine engine(source.num_vertices(), options);
-    return engine.run(Graph(source.num_vertices()), candidates);
-}
-
-/// Build draw `seed` through a session and compare against naive.
+/// Build draw `seed` through a session and compare against the reference.
 void check_draw(std::uint64_t seed) {
     Rng rng(seed);
     Draw d = draw_settings(rng);
@@ -160,7 +149,7 @@ void check_draw(std::uint64_t seed) {
         case SourceKind::kWspd: source = &wspd_source; break;
         case SourceKind::kGrid: source = &grid_source; break;
     }
-    const Graph reference = naive_build(*source, d.stretch);
+    const Graph reference = reference_greedy(*source, d.stretch);
     SpannerSession session;
     BuildReport report;
     const Graph h = session.build(*source, d.options, &report);
@@ -168,7 +157,7 @@ void check_draw(std::uint64_t seed) {
     EXPECT_EQ(report.stats.edges_examined, report.candidates);
 }
 
-TEST(KnobSpaceTest, RandomTuningMatchesNaive) {
+TEST(KnobSpaceTest, RandomTuningMatchesReference) {
     if (const char* replay = std::getenv("GSP_KNOB_SEED")) {
         check_draw(std::strtoull(replay, nullptr, 10));
         return;

@@ -1,7 +1,7 @@
 // Landmark witness trees: the table's bounds are sound upper bounds on
 // spanner distances (and stay sound as the spanner grows), landmark
 // selection is a deterministic farthest-point order, and engine builds
-// that consult the table return exactly the naive kernel's edge set.
+// that consult the table return exactly the textbook reference's edge set.
 #include "core/landmark_bounds.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 #include "graph/incremental_csr.hpp"
+#include "reference_greedy.hpp"
 #include "util/random.hpp"
 
 namespace gsp {
@@ -202,26 +203,19 @@ TEST(LandmarkTableTest, FewerVerticesThanLandmarks) {
     EXPECT_EQ(table.upper_bound(1, 2), kInfiniteWeight);
 }
 
-// --- Engine builds: bit-identical to the naive kernel ------------------
+// --- Engine builds: bit-identical to the reference ---------------------
 
 const std::size_t kThreadCounts[] = {1, 2, 4, 0};  // 0 = hardware concurrency
 
-/// Builds `make_source()` with the naive kernel and with the default
-/// engine at each thread count, checks the edge sets agree, and returns
-/// the default engine's reports (one per thread count). Every input here
+/// Builds `make_source()` with the textbook reference and with the
+/// default engine at each thread count, checks the edge sets agree, and
+/// returns the engine's reports (one per thread count). Every input here
 /// is big enough for the refresh rule to fire, so the table is consulted.
 template <class MakeSource>
-std::vector<BuildReport> check_against_naive(MakeSource make_source, double stretch,
-                                             const std::string& what) {
-    BuildOptions naive;
-    naive.stretch = stretch;
-    naive.engine = EngineTuning::naive();
-    auto naive_source = make_source();
-    SpannerSession naive_session;
-    BuildReport naive_report;
-    const Graph reference = naive_session.build(naive_source, naive, &naive_report);
-    EXPECT_EQ(naive_report.stats.landmark_refreshes, 0u) << what;
-    EXPECT_EQ(naive_report.stats.landmark_rejects, 0u) << what;
+std::vector<BuildReport> check_against_reference(MakeSource make_source, double stretch,
+                                                 const std::string& what) {
+    auto reference_source = make_source();
+    const Graph reference = reference_greedy(reference_source, stretch);
 
     std::vector<BuildReport> reports;
     for (const std::size_t threads : kThreadCounts) {
@@ -234,8 +228,7 @@ std::vector<BuildReport> check_against_naive(MakeSource make_source, double stre
         const Graph h = session.build(source, options, &report);
         const std::string label = what + " threads=" + std::to_string(threads);
         EXPECT_TRUE(same_edge_set(h, reference)) << label;
-        EXPECT_EQ(report.weight, naive_report.weight) << label;
-        EXPECT_EQ(report.stats.edges_added, naive_report.stats.edges_added) << label;
+        EXPECT_EQ(report.stats.edges_added, reference.num_edges()) << label;
         EXPECT_GT(report.stats.landmark_refreshes, 0u) << label;
         reports.push_back(report);
     }
@@ -246,11 +239,11 @@ std::vector<BuildReport> check_against_naive(MakeSource make_source, double stre
     return reports;
 }
 
-TEST(LandmarkEngineTest, LongLinkGeometricGraphMatchesNaive) {
+TEST(LandmarkEngineTest, LongLinkGeometricGraphMatchesReference) {
     Rng rng(3);
     const std::size_t n = 1024;
     const Graph g = random_geometric(n, 3.0 / std::sqrt(static_cast<double>(n)), rng, true);
-    const auto reports = check_against_naive(
+    const auto reports = check_against_reference(
         [&] { return GraphCandidateSource(g); }, 2.0, "geometric long-link");
     for (std::size_t i = 0; i < reports.size(); ++i) {
         EXPECT_GT(reports[i].stats.landmark_rejects, 0u)
@@ -258,28 +251,28 @@ TEST(LandmarkEngineTest, LongLinkGeometricGraphMatchesNaive) {
     }
 }
 
-TEST(LandmarkEngineTest, ErdosRenyiMatchesNaive) {
+TEST(LandmarkEngineTest, ErdosRenyiMatchesReference) {
     // n = 600: on smaller inputs the frontier-pruned point queries are too
     // cheap for the refresh rule to buy a table, and this test must
     // exercise one.
     Rng rng(41);
     const Graph g = erdos_renyi(600, 0.05, {.lo = 0.5, .hi = 8.0}, rng);
-    check_against_naive([&] { return GraphCandidateSource(g); }, 1.8, "erdos-renyi");
+    check_against_reference([&] { return GraphCandidateSource(g); }, 1.8, "erdos-renyi");
 }
 
-TEST(LandmarkEngineTest, EuclideanMetricMatchesNaive) {
+TEST(LandmarkEngineTest, EuclideanMetricMatchesReference) {
     Rng rng(88);
     const EuclideanMetric pts = uniform_points(300, 2, 100.0, rng);
-    check_against_naive([&] { return MetricCandidateSource(pts); }, 1.5, "euclidean");
+    check_against_reference([&] { return MetricCandidateSource(pts); }, 1.5, "euclidean");
 }
 
-TEST(LandmarkEngineTest, GridStreamMatchesNaive) {
+TEST(LandmarkEngineTest, GridStreamMatchesReference) {
     // n = 800: at the grid's 32 sketch ways the via-landmark rejects leave
     // smaller inputs too few probes for the refresh rule to buy a table,
     // and this test must exercise one.
     Rng rng(123);
     const EuclideanMetric pts = uniform_points(800, 2, 200.0, rng);
-    check_against_naive([&] { return GridCandidateSource(pts, 5.0); }, 2.0, "grid stream");
+    check_against_reference([&] { return GridCandidateSource(pts, 5.0); }, 2.0, "grid stream");
 }
 
 TEST(LandmarkEngineTest, WarmSessionCountsMatchFresh) {
@@ -325,11 +318,7 @@ TEST(LandmarkEngineTest, WarmTableNeverAnswersForALaterBuild) {
     const Graph h = session.build(small_source, options, &second);
     EXPECT_EQ(second.stats.landmark_rejects, 0u);
 
-    BuildOptions naive;
-    naive.engine = EngineTuning::naive();
-    SpannerSession naive_session;
-    GraphCandidateSource naive_source(small);
-    EXPECT_TRUE(same_edge_set(h, naive_session.build(naive_source, naive)));
+    EXPECT_TRUE(same_edge_set(h, reference_greedy(small, options.stretch)));
 }
 
 }  // namespace
